@@ -13,16 +13,15 @@ communication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .codeword import Codeword
+from .codeword import Codeword, group_by_key
 from .database import Database, NodeSet, PlacementMap, full_support
 from .exceptions import DirectoryMismatch, InvalidLabel, RebalanceError, ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
-
-_NO_BITS = np.empty(0, dtype=np.int64)
 
 FAMILY_MOVE = "U"
 FAMILY_STAY = "V"
@@ -59,7 +58,14 @@ def boxes_for_class(nodes: NodeSet, new_node: int, bit_class: NodeSet) -> tuple[
 
 @dataclass
 class BinDirectoryAddition:
-    """Shared box assignment covering every bit of the file."""
+    """Shared box assignment covering every bit of the file.
+
+    ``codes`` holds each bit's box: below r it names the holder, by its
+    position in the bit's stored set, that ships the bit; r and above mean
+    stay. Move boxes are numbered by key ``set * r + code``; ``box_bits``
+    holds the moving bits grouped by key, with box ``k`` at
+    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order.
+    """
 
     new_node: int
     base_nodes: NodeSet
@@ -68,10 +74,15 @@ class BinDirectoryAddition:
     classes: tuple[NodeSet, ...]
     set_index: np.ndarray
     codes: np.ndarray
-    groups: dict[AdditionBoxLabel, np.ndarray] = field(repr=False)
+    box_bits: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return int(self.codes.size)
+
+    @cached_property
+    def _class_ordinals(self) -> dict[NodeSet, int]:
+        return {cls: s for s, cls in enumerate(self.classes)}
 
     def label_of(self, bit: int) -> AdditionBoxLabel:
         s = int(self.set_index[bit])
@@ -86,35 +97,29 @@ class BinDirectoryAddition:
         )
 
     def packet_bits(self, label: AdditionBoxLabel) -> np.ndarray:
-        """Ascending bit indices of one move box's packet.
+        """Ascending bit indices of one move box's packet; ``InvalidLabel`` for
+        a stay box, which never forms a packet, or a box this directory lacks."""
+        s = self._class_ordinals.get(tuple(sorted(label.bit_class)))
+        if label.family != FAMILY_MOVE or s is None or label.node not in self.stored_sets[s]:
+            raise InvalidLabel(f"{label} is not a move box of this directory")
+        key = s * self.replication + self.stored_sets[s].index(label.node)
+        return self.box_bits[self.offsets[key] : self.offsets[key + 1]]
 
-        Stay boxes never form packets; asking for one is a label error.
-        """
-        return self.groups.get(self.canonical_label(label), _NO_BITS)
-
-    def canonical_label(self, label: AdditionBoxLabel) -> AdditionBoxLabel:
-        cls = tuple(sorted(int(n) for n in label.bit_class))
-        node = int(label.node)
-        base = set(self.base_nodes)
-        class_size = len(self.base_nodes) - self.replication
-        if label.family != FAMILY_MOVE:
-            raise InvalidLabel("stay boxes are bookkeeping only and hold no packet")
-        ok = (
-            set(cls) <= base
-            and len(cls) == len(set(cls)) == class_size
-            and node in base
-            and node not in cls
+    def box_labels(self) -> tuple[AdditionBoxLabel, ...]:
+        """Every move box label, empty boxes included, in box-key order."""
+        return tuple(
+            AdditionBoxLabel(FAMILY_MOVE, cls, holder, cls)
+            for cls, stored in zip(self.classes, self.stored_sets)
+            for holder in stored
         )
-        if not ok:
-            raise InvalidLabel(f"{label} is not a valid move box for this directory")
-        return AdditionBoxLabel(FAMILY_MOVE, cls, node, cls)
 
 
 def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     """Assign every bit to one of its class's K+1 boxes, uniformly.
 
-    Draws are independent across bits and consumed in ascending bit order.
-    The new node's id is one past the current largest.
+    Draws are independent across bits and consumed in ascending bit order;
+    ``group_by_key`` then groups the moving bits by box key in O(F). The new
+    node's id is one past the current largest.
     """
     place = db.placement
     nodes = place.nodes
@@ -130,22 +135,10 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     )
 
     moving = np.flatnonzero(codes < r)
-    sub_sets = place.set_index[moving]
-    sub_codes = codes[moving]
-    group_key = sub_sets * r + sub_codes
-    order = np.argsort(group_key, kind="stable")
-    sorted_keys = group_key[order]
-    groups: dict[AdditionBoxLabel, np.ndarray] = {}
-    if order.size:
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [order.size]))
-        for start, stop in zip(starts, stops):
-            key = int(sorted_keys[start])
-            s, code = divmod(key, r)
-            cls = classes[s]
-            label = AdditionBoxLabel(FAMILY_MOVE, cls, place.support[s][code], cls)
-            groups[label] = moving[order[start:stop]]
+    num_keys = len(place.support) * r
+    key_dtype = np.min_scalar_type(max(num_keys - 1, 0))
+    keys = (place.set_index[moving] * r + codes[moving]).astype(key_dtype)
+    order, offsets = group_by_key(keys, num_keys)
 
     return BinDirectoryAddition(
         new_node=new_node,
@@ -155,7 +148,8 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
         classes=classes,
         set_index=place.set_index,
         codes=codes,
-        groups=groups,
+        box_bits=moving[order],
+        offsets=offsets,
     )
 
 
@@ -218,20 +212,15 @@ def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, list
     new_support = full_support(new_nodes, r)
     lookup = {s: i for i, s in enumerate(new_support)}
 
-    num_sets = len(place.support)
-    stay_map = np.empty(num_sets, dtype=np.int32)
-    move_map = np.empty((num_sets, r), dtype=np.int32)
-    for s, stored in enumerate(place.support):
-        stay_map[s] = lookup[stored]
-        for pos, holder in enumerate(stored):
-            swapped = tuple(sorted((*(n for n in stored if n != holder), directory.new_node)))
-            move_map[s, pos] = lookup[swapped]
-
-    moving = directory.codes < r
-    clamped = np.minimum(directory.codes, r - 1).astype(np.int64)
-    new_index = np.where(
-        moving, move_map[place.set_index, clamped], stay_map[place.set_index]
-    ).astype(np.int32)
+    stay_map = np.array([lookup[stored] for stored in place.support], dtype=np.int32)
+    new_sets = [
+        lookup[tuple(sorted((*(n for n in stored if n != holder), directory.new_node)))]
+        for stored in place.support
+        for holder in stored
+    ]
+    new_index = stay_map[place.set_index]
+    counts = np.diff(directory.offsets)
+    new_index[directory.box_bits] = np.repeat(np.asarray(new_sets, np.int32), counts)
     if new_index.min(initial=0) < 0:
         raise RebalanceError("internal error: unmapped placement after addition")
 

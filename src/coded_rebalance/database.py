@@ -10,7 +10,7 @@ into the file's value array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable
 
@@ -64,6 +64,7 @@ class PlacementMap:
     replication: int
     support: tuple[NodeSet, ...]
     set_index: np.ndarray
+    _memberships: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_bits(self) -> int:
@@ -77,10 +78,18 @@ class PlacementMap:
         return np.bincount(self.set_index, minlength=len(self.support))
 
     def support_membership(self, node: int) -> np.ndarray:
-        """Boolean mask over ``support``: which candidate sets contain ``node``."""
-        return np.fromiter(
-            (node in s for s in self.support), dtype=bool, count=len(self.support)
-        )
+        """Boolean mask over ``support``: which candidate sets contain ``node``.
+
+        Computed once per node and returned read-only.
+        """
+        mask = self._memberships.get(node)
+        if mask is None:
+            mask = np.fromiter(
+                (node in s for s in self.support), dtype=bool, count=len(self.support)
+            )
+            mask.flags.writeable = False
+            self._memberships[node] = mask
+        return mask
 
 
 @dataclass

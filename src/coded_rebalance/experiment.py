@@ -143,8 +143,8 @@ def _run_trial(config: ExperimentConfig, trial: int, support) -> TrialResult:
         report = addition_load(codewords, config.num_nodes, config.replication, config.num_bits)
         floor_ok = True
 
-    after = node_storage_counts(new_db)
     balance = verify_r_balanced(new_db, config.balance_tolerance)
+    after = balance.node_loads
     if not balance.replication_ok:
         raise RebalanceError(
             f"trial {trial}: replication violated for bits {balance.offending_bits[:5]}"

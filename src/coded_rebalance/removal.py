@@ -24,11 +24,12 @@ observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .codeword import Codeword, xor_packets
+from .codeword import Codeword, group_by_key, xor_packets
 from .database import Database, NodeSet, PlacementMap, full_support, node_contents
 from .exceptions import (
     DecodeVerificationError,
@@ -40,9 +41,6 @@ from .exceptions import (
     UnknownNode,
 )
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
-
-_NO_BITS = np.empty(0, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class RemovalBoxLabel:
@@ -83,62 +81,69 @@ class BinDirectoryRemoval:
     This is globally known metadata: all survivors see the same assignment,
     so XOR packets align position for position and true lengths are known
     for unpadding. It is never charged to the communication load.
+
+    Boxes are numbered by an integer key: class ordinal times the
+    (K-r)(r-1) boxes per class, plus the box's position in
+    ``boxes_for_class``. ``keys`` holds each bit's box key, aligned with
+    ``bits``; ``box_bits`` holds the bits grouped by key, with box ``k`` at
+    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order.
     """
 
     removed_node: int
     survivors: NodeSet
     replication: int
-    bits: np.ndarray
-    targets: np.ndarray
-    holders: np.ndarray
-    class_ids: np.ndarray
     classes: tuple[NodeSet, ...]
-    groups: dict[RemovalBoxLabel, np.ndarray] = field(repr=False)
+    bits: np.ndarray
+    keys: np.ndarray
+    box_bits: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return int(self.bits.size)
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """The survivor each bit of ``bits`` moves to."""
+        return np.repeat(np.asarray(self.classes).ravel(), self.replication - 1)[self.keys]
+
+    @property
+    def _boxes_per_class(self) -> int:
+        return (len(self.survivors) + 1 - self.replication) * (self.replication - 1)
+
+    @cached_property
+    def _class_keys(self) -> dict[NodeSet, tuple[int, NodeSet]]:
+        """Each class's first box key and its holders in box-key order."""
+        survivors = sorted(self.survivors)
+        return {
+            cls: (c * self._boxes_per_class, tuple(n for n in survivors if n not in cls))
+            for c, cls in enumerate(self.classes)
+        }
+
+    def _labels_of_class(self, c: int) -> tuple[RemovalBoxLabel, ...]:
+        nodes = (*self.survivors, self.removed_node)
+        return boxes_for_class(nodes, self.removed_node, self.classes[c])
 
     def label_of(self, bit: int) -> RemovalBoxLabel:
         """The box assigned to one bit of the removed node's store."""
         pos = int(np.searchsorted(self.bits, bit))
         if pos == self.bits.size or int(self.bits[pos]) != bit:
             raise KeyError(f"bit {bit} was not stored at node {self.removed_node}")
-        cls = self.classes[int(self.class_ids[pos])]
-        target = int(self.targets[pos])
-        remainder = tuple(n for n in cls if n != target)
-        return RemovalBoxLabel(target, remainder, int(self.holders[pos]))
+        c, code = divmod(int(self.keys[pos]), self._boxes_per_class)
+        return self._labels_of_class(c)[code]
 
     def packet_bits(self, label: RemovalBoxLabel) -> np.ndarray:
-        """Ascending bit indices assigned to one box (possibly empty)."""
-        return self.groups.get(self.canonical_label(label), _NO_BITS)
+        """Ascending bit indices assigned to one box (possibly empty);
+        ``InvalidLabel`` if the label names no box of this directory."""
+        cls = label.bit_class
+        first, holders = self._class_keys.get(cls, (0, ()))
+        if label.holder not in holders:
+            raise InvalidLabel(f"{label} is not a valid box for this directory")
+        key = first + cls.index(label.target) * (self.replication - 1) + holders.index(label.holder)
+        return self.box_bits[self.offsets[key] : self.offsets[key + 1]]
 
     def box_labels(self) -> tuple[RemovalBoxLabel, ...]:
-        """Every valid box label, across all classes, empty boxes included."""
-        nodes = tuple(sorted((*self.survivors, self.removed_node)))
-        out: list[RemovalBoxLabel] = []
-        for cls in self.classes:
-            out.extend(boxes_for_class(nodes, self.removed_node, cls))
-        return tuple(out)
-
-    def canonical_label(self, label: RemovalBoxLabel) -> RemovalBoxLabel:
-        """Normalize and structurally validate a label against this directory."""
-        target = int(label.target)
-        holder = int(label.holder)
-        remainder = tuple(sorted(int(n) for n in label.remainder))
-        survivors = set(self.survivors)
-        class_size = len(self.survivors) + 1 - self.replication
-        ok = (
-            target in survivors
-            and holder in survivors
-            and set(remainder) <= survivors
-            and len(remainder) == len(set(remainder)) == class_size - 1
-            and target not in remainder
-            and holder not in remainder
-            and holder != target
-        )
-        if not ok:
-            raise InvalidLabel(f"{label} is not a valid box for this directory")
-        return RemovalBoxLabel(target, remainder, holder)
+        """Every valid box label, empty boxes included, in box-key order."""
+        return tuple(lab for c in range(len(self.classes)) for lab in self._labels_of_class(c))
 
 
 def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRemoval:
@@ -147,7 +152,8 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     For each class of affected bits there are (K-r)(r-1) boxes: one per
     (target, holder) pair, with the target drawn from the class and the
     holder from the bit's surviving storers. Draws are independent across
-    bits and consumed in ascending bit order.
+    bits and consumed in ascending bit order; ``group_by_key`` then groups
+    the bits by box key in O(F).
     """
     place = db.placement
     nodes = place.nodes
@@ -165,64 +171,29 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
 
     member = place.support_membership(removed_node)
     affected = np.flatnonzero(member[place.set_index])
-    sub_sets = place.set_index[affected]
-
-    # Per-support-set decode tables; rows for sets without the removed node
-    # stay unused.
-    num_sets = len(place.support)
-    target_table = np.zeros((num_sets, num_nodes - r), dtype=np.int16)
-    holder_table = np.zeros((num_sets, r - 1), dtype=np.int16)
-    class_ord = np.full(num_sets, -1, dtype=np.int32)
-    classes: list[NodeSet] = []
-    class_holders: list[NodeSet] = []
-    for s, stored in enumerate(place.support):
-        if removed_node not in stored:
-            continue
-        cls = tuple(sorted(set(nodes) - set(stored)))
-        class_ord[s] = len(classes)
-        classes.append(cls)
-        holders = tuple(n for n in stored if n != removed_node)
-        class_holders.append(holders)
-        target_table[s, :] = cls
-        holder_table[s, :] = holders
-
-    codes = rng.generator(STREAM_REMOVAL_BINNING).integers(
-        0, boxes_per_class, size=affected.size
+    classes = tuple(
+        tuple(n for n in nodes if n not in place.support[s]) for s in np.flatnonzero(member)
     )
-    targets = target_table[sub_sets, codes // (r - 1)]
-    holders_arr = holder_table[sub_sets, codes % (r - 1)]
-    class_ids = class_ord[sub_sets]
+    num_keys = len(classes) * boxes_per_class
+    key_dtype = np.min_scalar_type(max(num_keys - 1, 0))
+    # First box key of each support set's class; rows of sets without the
+    # removed node are never read.
+    class_base = ((np.cumsum(member) - 1) * boxes_per_class).astype(key_dtype)
 
-    # Group bits by box. The stable sort keeps the original ascending bit
-    # order inside each group, which is the XOR alignment contract.
-    group_key = class_ids * boxes_per_class + codes
-    order = np.argsort(group_key, kind="stable")
-    sorted_keys = group_key[order]
-    groups: dict[RemovalBoxLabel, np.ndarray] = {}
-    if order.size:
-        boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [order.size]))
-        for start, stop in zip(starts, stops):
-            key = int(sorted_keys[start])
-            cls = classes[key // boxes_per_class]
-            code = key % boxes_per_class
-            target = cls[code // (r - 1)]
-            remainder = tuple(n for n in cls if n != target)
-            holder = class_holders[key // boxes_per_class][code % (r - 1)]
-            label = RemovalBoxLabel(target, remainder, holder)
-            groups[label] = affected[order[start:stop]]
+    codes = rng.generator(STREAM_REMOVAL_BINNING).integers(0, boxes_per_class, size=affected.size)
+    keys = class_base[place.set_index[affected]] + codes.astype(key_dtype)
+    del codes
+    order, offsets = group_by_key(keys, num_keys)
 
     return BinDirectoryRemoval(
         removed_node=removed_node,
         survivors=survivors,
         replication=r,
+        classes=classes,
         bits=affected,
-        targets=targets,
-        holders=holders_arr,
-        class_ids=class_ids,
-        classes=tuple(classes),
-        groups=groups,
+        keys=keys,
+        box_bits=affected[order],
+        offsets=offsets,
     )
 
 
@@ -294,7 +265,9 @@ def decode_removal(
 
     The node XORs away the constituents it already stores and truncates the
     result to the demanded packet's true length. Returns the packet's bit
-    indices and recovered values.
+    indices and recovered values. Raises ``DecodeVerificationError`` if a
+    cancelled packet is longer than the payload or has a bit outside the
+    node's own store: a node cannot use side information it does not hold.
     """
     demanded = None
     for label, true_len in codeword.constituents:
@@ -304,11 +277,16 @@ def decode_removal(
     if demanded is None:
         raise NotARecipient(f"node {node} demands no packet of this codeword")
 
+    held = db.placement.support_membership(node)
     acc = codeword.payload.copy()
     for label, true_len in codeword.constituents:
         if label.target == node:
             continue
         bits = directory.packet_bits(label)
+        if bits.size > acc.size or not held[db.placement.set_index[bits]].all():
+            raise DecodeVerificationError(
+                f"node {node} cannot cancel box {label}: bits outside its store or the payload"
+            )
         acc[: bits.size] ^= db.file.values[bits]
     label, true_len = demanded
     return directory.packet_bits(label), acc[:true_len]
@@ -343,20 +321,16 @@ def apply_removal_rebalance(
     new_support = full_support(directory.survivors, r)
     lookup = {s: i for i, s in enumerate(new_support)}
 
-    num_sets = len(place.support)
-    stay_map = np.full(num_sets, -1, dtype=np.int32)
-    move_map = np.full((num_sets, max(place.nodes) + 1), -1, dtype=np.int32)
-    for s, stored in enumerate(place.support):
-        if removed_node in stored:
-            base = tuple(n for n in stored if n != removed_node)
-            for target in set(place.nodes) - set(stored):
-                move_map[s, target] = lookup[tuple(sorted((*base, target)))]
-        else:
-            stay_map[s] = lookup[stored]
-
+    # Sets without the removed node keep their bits; an affected bit's new
+    # set is its box's class minus the target, taken out of the survivors.
+    stay_map = np.array([lookup.get(stored, -1) for stored in place.support], dtype=np.int32)
+    new_sets = [
+        lookup[tuple(n for n in directory.survivors if n == target or n not in cls)]
+        for cls in directory.classes
+        for target in cls
+    ]
     new_index = stay_map[place.set_index]
-    moved_sets = place.set_index[directory.bits]
-    new_index[directory.bits] = move_map[moved_sets, directory.targets]
+    new_index[directory.bits] = np.repeat(np.asarray(new_sets, np.int32), r - 1)[directory.keys]
     if new_index.min(initial=0) < 0:
         raise RebalanceError("internal error: unmapped placement after removal")
 

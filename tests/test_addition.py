@@ -48,7 +48,7 @@ def test_binning_covers_every_bit_once():
     db = build_database(4, 2, 5000, RngSpec(90))
     directory = bin_addition(db, RngSpec(90))
     assert len(directory) == 5000
-    moved = np.concatenate([bits for bits in directory.groups.values()])
+    moved = np.concatenate([directory.packet_bits(lab) for lab in directory.box_labels()])
     stayed = np.flatnonzero(directory.codes >= 2)
     assert np.array_equal(np.sort(np.concatenate([moved, stayed])), np.arange(5000))
 
@@ -66,8 +66,8 @@ def test_box_choice_is_uniform_within_class():
 def test_label_of_agrees_with_groups_and_stays():
     db = build_database(4, 2, 300, RngSpec(92))
     directory = bin_addition(db, RngSpec(92))
-    for label, bits in directory.groups.items():
-        for bit in bits[:3]:
+    for label in directory.box_labels():
+        for bit in directory.packet_bits(label):
             assert directory.label_of(int(bit)) == label
     stay_bit = int(np.flatnonzero(directory.codes >= 2)[0])
     label = directory.label_of(stay_bit)

@@ -1,12 +1,14 @@
 """Node-removal protocol: binning, encoding, decoding, and the commit."""
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from coded_rebalance import (
+    DecodeVerificationError,
     DirectoryMismatch,
     InvalidLabel,
     NotARecipient,
@@ -23,6 +25,7 @@ from coded_rebalance import (
     node_contents,
     packet_contents,
 )
+from coded_rebalance import removal
 from coded_rebalance.removal import boxes_for_class
 
 
@@ -76,7 +79,7 @@ def test_expected_packet_size_matches_law():
 def test_packet_contents_deterministic_and_ordered():
     db = build_database(6, 3, 3000, RngSpec(19))
     directory = bin_removal(db, 6, RngSpec(19))
-    label = next(iter(directory.groups))
+    label = next(lab for lab in directory.box_labels() if directory.packet_bits(lab).size > 1)
     bits1, vals1 = packet_contents(directory, label, db)
     bits2, vals2 = packet_contents(directory, label, db)
     assert np.array_equal(bits1, bits2) and np.array_equal(vals1, vals2)
@@ -86,9 +89,12 @@ def test_packet_contents_deterministic_and_ordered():
 def test_label_of_round_trips_through_groups():
     db = build_database(5, 3, 400, RngSpec(2))
     directory = bin_removal(db, 2, RngSpec(2))
-    for label, bits in directory.groups.items():
-        for bit in bits[:3]:
-            assert directory.label_of(int(bit)) == label
+    seen = []
+    for label in directory.box_labels():
+        bits = directory.packet_bits(label)
+        assert all(directory.label_of(int(bit)) == label for bit in bits)
+        seen.extend(bits.tolist())
+    assert sorted(seen) == directory.bits.tolist()
 
 
 @pytest.mark.parametrize("K,r", [(4, 2), (5, 2), (6, 3), (6, 4), (7, 5)])
@@ -162,6 +168,54 @@ def test_decode_rejects_non_recipient():
     for node in (5, 2):  # the sender and a context node demand nothing
         with pytest.raises(NotARecipient):
             decode_removal(node, cw, db, directory)
+
+
+def test_decode_rejects_side_information_the_node_does_not_store():
+    db = build_database(6, 3, 9000, RngSpec(14))
+    directory = bin_removal(db, 6, RngSpec(14))
+    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
+    # node 1 cancels the packet to node 4; leak into it a bit node 1 lacks
+    cancelled = directory.packet_bits(RemovalBoxLabel(4, (2, 3), 5))
+    lacked = np.setdiff1d(np.arange(db.num_bits), node_contents(db, 1))[0]
+    box_bits = directory.box_bits.copy()
+    box_bits[np.flatnonzero(box_bits == cancelled[0])] = lacked
+    tampered = replace(directory, box_bits=box_bits)
+    decode_removal(1, cw, db, directory)
+    with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
+        decode_removal(1, cw, db, tampered)
+
+
+def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
+    db = build_database(6, 3, 9000, RngSpec(14))
+    directory = bin_removal(db, 6, RngSpec(14))
+    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
+    # lengthen the packet node 1 cancels with bits node 1 does store
+    key = directory.box_labels().index(RemovalBoxLabel(4, (2, 3), 5))
+    extra = np.setdiff1d(node_contents(db, 1), directory.bits)[: cw.payload_bits + 5]
+    offsets = directory.offsets.copy()
+    offsets[key + 1 :] += extra.size
+    box_bits = np.insert(directory.box_bits, directory.offsets[key + 1], extra)
+    tampered = replace(directory, box_bits=box_bits, offsets=offsets)
+    with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
+        decode_removal(1, cw, db, tampered)
+
+
+def test_flipped_payload_bit_fails_apply_and_leaves_database_unchanged(monkeypatch):
+    db = build_database(6, 3, 6000, RngSpec(41))
+    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+    honest_encode = removal.encode_removal
+
+    def flipping_encode(db_, directory):
+        codewords = honest_encode(db_, directory)
+        next(c for c in codewords if c.payload_bits).payload[0] ^= 1
+        return codewords
+
+    monkeypatch.setattr(removal, "encode_removal", flipping_encode)
+    with pytest.raises(DecodeVerificationError):
+        apply_removal_rebalance(db, 6, RngSpec(41))
+    assert db.nodes == (1, 2, 3, 4, 5, 6)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.values, values)
 
 
 def test_zero_length_codewords_are_recorded():
