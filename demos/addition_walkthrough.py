@@ -1,6 +1,6 @@
 """Add an empty node and rebalance with uncoded handoffs, step by step.
 
-Shows the move/stay box split for one class, the handoff schedule, and
+Shows the move/stay split of the bits of one class, the handoff schedule, and
 the exact identity between what was shipped and what the newcomer stores.
 Ends with a full-size run showing the placement law and the load.
 """
@@ -12,6 +12,7 @@ from coded_rebalance import (
     bin_addition,
     build_database,
     encode_addition,
+    exclusive_group,
     node_storage_counts,
 )
 from coded_rebalance.addition import boxes_for_class
@@ -27,13 +28,18 @@ db = build_database(K, R, 600, spec)
 print(f"storage before: {node_storage_counts(db)} (newcomer arrives empty)")
 
 print()
-print(f"STEP 1: binning -- every bit picks one of K+1 = {K + 1} boxes")
+print(f"STEP 1: binning -- every bit draws one of K+1 = {K + 1} codes")
 directory = bin_addition(db, spec)
 cls = (2, 3)
-print(f"boxes of the class absent from {cls}:")
-for label in boxes_for_class(db.nodes, directory.new_node, cls):
-    kind = "move: shipped and deleted by" if label.family == "U" else "stay: anchored at"
-    print(f"  {kind} node {label.node}")
+print(f"{R} codes name a move box, one per holder; the other K-r+1 = {K - R + 1} "
+      f"codes mean stay")
+print(f"bits of the class absent from {cls}:")
+for label in boxes_for_class(db.nodes, cls):
+    bits = directory.packet_bits(label)
+    print(f"  move: shipped and deleted by node {label.node}: {bits.size} bits")
+class_bits = exclusive_group(db, cls)
+stays = int((directory.codes[class_bits] >= R).sum())
+print(f"  stay: never touched: {stays} bits")
 
 print()
 print("STEP 2: handoffs -- movers go to the newcomer uncoded")

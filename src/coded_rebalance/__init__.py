@@ -24,7 +24,7 @@ from .analysis import (
     removal_load,
     uniformity_check,
 )
-from .codeword import Codeword, xor_packets
+from .codeword import Codeword
 from .database import (
     BalanceReport,
     Database,
@@ -64,7 +64,6 @@ from .removal import (
     bin_removal,
     decode_removal,
     encode_removal,
-    packet_contents,
 )
 from .rng import RngSpec
 
@@ -113,11 +112,9 @@ __all__ = [
     "full_support",
     "node_contents",
     "node_storage_counts",
-    "packet_contents",
     "packet_size_law",
     "removal_load",
     "run_experiment",
     "uniformity_check",
     "verify_r_balanced",
-    "xor_packets",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
 from .addition import apply_addition_rebalance
@@ -23,7 +21,7 @@ from .analysis import (
     removal_load,
     uniformity_check,
 )
-from .database import build_database, node_storage_counts, verify_r_balanced
+from .database import build_database, full_support, node_storage_counts, verify_r_balanced
 from .exceptions import ConfigError, RebalanceError
 from .removal import apply_removal_rebalance
 from .rng import RngSpec
@@ -92,8 +90,8 @@ class ExperimentConfig:
         """Node sets the rebalanced placement may use."""
         if self.event == EVENT_REMOVE:
             survivors = [n for n in range(1, self.num_nodes + 1) if n != self.removed_node]
-            return tuple(combinations(survivors, self.replication))
-        return tuple(combinations(range(1, self.num_nodes + 2), self.replication))
+            return full_support(survivors, self.replication)
+        return full_support(range(1, self.num_nodes + 2), self.replication)
 
 
 @dataclass

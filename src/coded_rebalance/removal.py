@@ -23,20 +23,18 @@ observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .codeword import Codeword, group_by_key, xor_packets
-from .database import Database, NodeSet, PlacementMap, full_support, node_contents
+from .codeword import BoxDirectory, Codeword, group_by_key, xor_packets
+from .database import Database, NodeSet
 from .exceptions import (
     DecodeVerificationError,
-    DirectoryMismatch,
     InvalidLabel,
     NotARecipient,
-    RebalanceError,
     ReplicationOutOfRange,
     UnknownNode,
 )
@@ -75,28 +73,21 @@ def boxes_for_class(nodes: NodeSet, removed_node: int, bit_class: NodeSet) -> tu
 
 
 @dataclass
-class BinDirectoryRemoval:
+class BinDirectoryRemoval(BoxDirectory):
     """Shared box assignment for every bit the removed node stored.
 
     This is globally known metadata: all survivors see the same assignment,
     so XOR packets align position for position and true lengths are known
     for unpadding. It is never charged to the communication load.
 
-    Boxes are numbered by an integer key: class ordinal times the
-    (K-r)(r-1) boxes per class, plus the box's position in
-    ``boxes_for_class``. ``keys`` holds each bit's box key, aligned with
-    ``bits``; ``box_bits`` holds the bits grouped by key, with box ``k`` at
-    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order.
+    ``bits`` is the removed node's store. Boxes are numbered by an integer
+    key: class ordinal times the (K-r)(r-1) boxes per class, plus the box's
+    position in ``boxes_for_class``.
     """
 
     removed_node: int
     survivors: NodeSet
-    replication: int
     classes: tuple[NodeSet, ...]
-    bits: np.ndarray
-    keys: np.ndarray
-    box_bits: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -104,11 +95,12 @@ class BinDirectoryRemoval:
     @cached_property
     def targets(self) -> np.ndarray:
         """The survivor each bit of ``bits`` moves to."""
-        return np.repeat(np.asarray(self.classes).ravel(), self.replication - 1)[self.keys]
+        return np.repeat(np.asarray(self.classes).ravel(), self.placement.replication - 1)[self.keys]
 
     @property
     def _boxes_per_class(self) -> int:
-        return (len(self.survivors) + 1 - self.replication) * (self.replication - 1)
+        r = self.placement.replication
+        return (len(self.survivors) + 1 - r) * (r - 1)
 
     @cached_property
     def _class_keys(self) -> dict[NodeSet, tuple[int, NodeSet]]:
@@ -138,8 +130,8 @@ class BinDirectoryRemoval:
         first, holders = self._class_keys.get(cls, (0, ()))
         if label.holder not in holders:
             raise InvalidLabel(f"{label} is not a valid box for this directory")
-        key = first + cls.index(label.target) * (self.replication - 1) + holders.index(label.holder)
-        return self.box_bits[self.offsets[key] : self.offsets[key + 1]]
+        key = first + cls.index(label.target) * len(holders) + holders.index(label.holder)
+        return self._box(key)
 
     def box_labels(self) -> tuple[RemovalBoxLabel, ...]:
         """Every valid box label, empty boxes included, in box-key order."""
@@ -186,38 +178,15 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     order, offsets = group_by_key(keys, num_keys)
 
     return BinDirectoryRemoval(
-        removed_node=removed_node,
-        survivors=survivors,
-        replication=r,
-        classes=classes,
+        placement=place,
         bits=affected,
         keys=keys,
         box_bits=affected[order],
         offsets=offsets,
+        removed_node=removed_node,
+        survivors=survivors,
+        classes=classes,
     )
-
-
-def packet_contents(
-    directory: BinDirectoryRemoval, label: RemovalBoxLabel, db: Database
-) -> tuple[np.ndarray, np.ndarray]:
-    """One box's bits in canonical ascending order, with their values."""
-    bits = directory.packet_bits(label)
-    return bits, db.file.values[bits]
-
-
-def _check_directory(db: Database, directory: BinDirectoryRemoval) -> None:
-    place = db.placement
-    k = directory.removed_node
-    if k not in place.nodes:
-        raise DirectoryMismatch(f"directory removed node {k} is unknown to the database")
-    if directory.survivors != tuple(n for n in place.nodes if n != k):
-        raise DirectoryMismatch("directory survivor set does not match the database")
-    if directory.replication != place.replication:
-        raise DirectoryMismatch("directory replication does not match the database")
-    if not np.array_equal(directory.bits, node_contents(db, k)):
-        raise DirectoryMismatch(
-            "directory does not cover exactly the removed node's stored bits"
-        )
 
 
 def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codeword]:
@@ -228,10 +197,9 @@ def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codewor
     codewords are emitted as records so the schedule length is always
     r * C(K-1, K-r-1).
     """
-    _check_directory(db, directory)
-    place = db.placement
+    directory.check_placement(db)
     values = db.file.values
-    group_size = len(place.nodes) - place.replication - 1
+    group_size = len(db.nodes) - db.replication - 1
 
     codewords: list[Codeword] = []
     for ctx in combinations(directory.survivors, group_size):
@@ -316,23 +284,12 @@ def apply_removal_rebalance(
                     f"context {label.remainder}) decoded incorrectly"
                 )
 
-    place = db.placement
-    r = place.replication
-    new_support = full_support(directory.survivors, r)
-    lookup = {s: i for i, s in enumerate(new_support)}
-
-    # Sets without the removed node keep their bits; an affected bit's new
-    # set is its box's class minus the target, taken out of the survivors.
-    stay_map = np.array([lookup.get(stored, -1) for stored in place.support], dtype=np.int32)
+    # An affected bit's new set is its box's class minus the target, taken
+    # out of the survivors; the box's holder does not change it.
     new_sets = [
-        lookup[tuple(n for n in directory.survivors if n == target or n not in cls)]
+        tuple(n for n in directory.survivors if n == target or n not in cls)
         for cls in directory.classes
         for target in cls
     ]
-    new_index = stay_map[place.set_index]
-    new_index[directory.bits] = np.repeat(np.asarray(new_sets, np.int32), r - 1)[directory.keys]
-    if new_index.min(initial=0) < 0:
-        raise RebalanceError("internal error: unmapped placement after removal")
-
-    new_place = PlacementMap(directory.survivors, r, new_support, new_index)
-    return Database(new_place, db.file), codewords
+    box_sets = [s for s in new_sets for _ in range(db.replication - 1)]
+    return Database(directory.commit(directory.survivors, box_sets), db.file), codewords

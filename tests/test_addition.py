@@ -8,40 +8,40 @@ import pytest
 
 from coded_rebalance import (
     AdditionBoxLabel,
+    Database,
     DirectoryMismatch,
     InvalidLabel,
+    PlacementMap,
     RngSpec,
     apply_addition_rebalance,
     bin_addition,
     build_database,
     encode_addition,
+    full_support,
     node_storage_counts,
 )
 from coded_rebalance.addition import boxes_for_class
 
 
 def test_box_set_for_one_class():
-    # class {2,3} with 4 nodes and newcomer 5: movers 1 and 4, then stays
-    labels = boxes_for_class((1, 2, 3, 4), 5, (2, 3))
-    expected = {
-        AdditionBoxLabel("U", (2, 3), 1, (2, 3)),
-        AdditionBoxLabel("U", (2, 3), 4, (2, 3)),
-        AdditionBoxLabel("V", (2, 3), 5, (2, 3)),
-        AdditionBoxLabel("V", (2, 3), 2, (3, 5)),
-        AdditionBoxLabel("V", (2, 3), 3, (2, 5)),
-    }
-    assert set(labels) == expected
+    # class {2,3} with 4 nodes: movers 1 and 4; stays take no box
+    labels = boxes_for_class((1, 2, 3, 4), (2, 3))
+    assert labels == (AdditionBoxLabel((2, 3), 1), AdditionBoxLabel((2, 3), 4))
 
 
 @pytest.mark.parametrize("K,r", [(4, 2), (5, 3), (6, 3), (4, 4), (5, 1)])
 def test_move_and_stay_counts_per_class(K, r):
     cls = tuple(range(1, K - r + 1))
-    labels = boxes_for_class(tuple(range(1, K + 1)), K + 1, cls)
-    movers = [lab for lab in labels if lab.family == "U"]
-    stays = [lab for lab in labels if lab.family == "V"]
-    assert len(movers) == r
-    assert len(stays) == K - r + 1
-    assert len(labels) == K + 1
+    labels = boxes_for_class(tuple(range(1, K + 1)), cls)
+    assert len(labels) == r
+    assert {lab.node for lab in labels} == set(range(K - r + 1, K + 1))
+    # of the K+1 codes, r name a mover and the other K-r+1 mean stay
+    db = build_database(K, r, 3000, RngSpec(89))
+    directory = bin_addition(db, RngSpec(89))
+    assert set(np.unique(directory.codes).tolist()) == set(range(K + 1))
+    first_bit = {c: int(np.flatnonzero(directory.codes == c)[0]) for c in range(K + 1)}
+    stays = [c for c, bit in first_bit.items() if directory.label_of(bit) is None]
+    assert stays == list(range(r, K + 1))
 
 
 def test_binning_covers_every_bit_once():
@@ -69,17 +69,21 @@ def test_label_of_agrees_with_groups_and_stays():
     for label in directory.box_labels():
         for bit in directory.packet_bits(label):
             assert directory.label_of(int(bit)) == label
-    stay_bit = int(np.flatnonzero(directory.codes >= 2)[0])
-    label = directory.label_of(stay_bit)
-    assert label.family == "V"
-    assert label.node in (*label.bit_class, directory.new_node)
+    stay_bits = np.flatnonzero(directory.codes >= 2)
+    assert stay_bits.size
+    assert all(directory.label_of(int(bit)) is None for bit in stay_bits)
+    assert np.array_equal(directory.bits, np.flatnonzero(directory.codes < 2))
 
 
 def test_stay_boxes_hold_no_packets():
     db = build_database(4, 2, 100, RngSpec(93))
     directory = bin_addition(db, RngSpec(93))
-    with pytest.raises(InvalidLabel):
-        directory.packet_bits(AdditionBoxLabel("V", (2, 3), 5, (2, 3)))
+    stay_bits = np.flatnonzero(directory.codes >= 2)
+    assert stay_bits.size and not np.isin(stay_bits, directory.box_bits).any()
+    # the newcomer and the class's own nodes name no move box
+    for node in (5, 2, 3):
+        with pytest.raises(InvalidLabel):
+            directory.packet_bits(AdditionBoxLabel((2, 3), node))
 
 
 def test_node_one_transmits_its_three_classes():
@@ -134,9 +138,10 @@ def test_apply_moves_and_stays_follow_the_directory():
         old = set(db.placement.node_set(bit))
         new = set(new_db.placement.node_set(bit))
         label = directory.label_of(bit)
-        if label.family == "U":
+        if directory.codes[bit] < 2:
             assert new == (old - {label.node}) | {5}
         else:
+            assert label is None
             assert new == old
 
 
@@ -174,3 +179,27 @@ def test_encode_rejects_foreign_directory():
     directory = bin_addition(db_a, RngSpec(103))
     with pytest.raises(DirectoryMismatch):
         encode_addition(db_b, directory)
+
+
+def test_encode_accepts_an_equal_copy_of_the_placement():
+    db = build_database(4, 2, 1000, RngSpec(105))
+    directory = bin_addition(db, RngSpec(105))
+    place = db.placement
+    copy = Database(
+        PlacementMap(place.nodes, place.replication, place.support, place.set_index.copy()),
+        db.file,
+    )
+    key = lambda cw: (cw.sender, cw.group, cw.constituents, cw.payload.tobytes())
+    assert list(map(key, encode_addition(copy, directory))) == list(
+        map(key, encode_addition(db, directory))
+    )
+
+
+def test_encode_rejects_a_placement_with_another_support():
+    # same nodes, replication and set indices, but the indices name other sets
+    db = build_database(4, 2, 1000, RngSpec(106))
+    directory = bin_addition(db, RngSpec(106))
+    place = db.placement
+    other = PlacementMap(place.nodes, 2, full_support((1, 2, 3, 5), 2), place.set_index)
+    with pytest.raises(DirectoryMismatch):
+        encode_addition(Database(other, db.file), directory)

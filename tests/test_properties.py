@@ -111,7 +111,8 @@ def test_addition_conserves_and_balances(inst):
         new = set(new_db.placement.node_set(bit))
         assert len(new) == r
         label = directory.label_of(bit)
-        if label.family == "U":
+        if directory.codes[bit] < r:
             assert new == (old - {label.node}) | {new_node}
         else:
+            assert label is None
             assert new == old

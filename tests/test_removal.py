@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from coded_rebalance import (
+    Database,
     DecodeVerificationError,
     DirectoryMismatch,
     InvalidLabel,
     NotARecipient,
+    PlacementMap,
     RemovalBoxLabel,
     ReplicationOutOfRange,
     RngSpec,
@@ -23,7 +25,6 @@ from coded_rebalance import (
     encode_removal,
     exclusive_group,
     node_contents,
-    packet_contents,
 )
 from coded_rebalance import removal
 from coded_rebalance.removal import boxes_for_class
@@ -80,8 +81,10 @@ def test_packet_contents_deterministic_and_ordered():
     db = build_database(6, 3, 3000, RngSpec(19))
     directory = bin_removal(db, 6, RngSpec(19))
     label = next(lab for lab in directory.box_labels() if directory.packet_bits(lab).size > 1)
-    bits1, vals1 = packet_contents(directory, label, db)
-    bits2, vals2 = packet_contents(directory, label, db)
+    bits1 = directory.packet_bits(label)
+    vals1 = db.file.values[bits1]
+    bits2 = directory.packet_bits(label)
+    vals2 = db.file.values[bits2]
     assert np.array_equal(bits1, bits2) and np.array_equal(vals1, vals2)
     assert np.all(np.diff(bits1) > 0)
 
@@ -317,6 +320,39 @@ def test_encode_rejects_foreign_directory():
     directory = bin_removal(db_a, 6, RngSpec(80))
     with pytest.raises(DirectoryMismatch):
         encode_removal(db_b, directory)
+
+
+def test_encode_rejects_a_placement_that_differs_outside_the_removed_store():
+    db = build_database(6, 3, 2000, RngSpec(83))
+    directory = bin_removal(db, 6, RngSpec(83))
+    place = db.placement
+    # move one bit that node 6 does not store to another set without node 6
+    bit = int(np.flatnonzero(~place.support_membership(6)[place.set_index])[0])
+    other = next(
+        s for s, nodes in enumerate(place.support)
+        if 6 not in nodes and s != place.set_index[bit]
+    )
+    set_index = place.set_index.copy()
+    set_index[bit] = other
+    moved = Database(PlacementMap(place.nodes, 3, place.support, set_index), db.file)
+    assert np.array_equal(node_contents(moved, 6), directory.bits)
+    with pytest.raises(DirectoryMismatch):
+        encode_removal(moved, directory)
+
+
+def test_encode_accepts_an_equal_copy_of_the_placement():
+    db = build_database(6, 3, 2000, RngSpec(84))
+    directory = bin_removal(db, 6, RngSpec(84))
+    place = db.placement
+    copy = Database(
+        PlacementMap(place.nodes, place.replication, place.support, place.set_index.copy()),
+        db.file,
+    )
+    assert copy.placement is not place
+    key = lambda cw: (cw.sender, cw.group, cw.constituents, cw.payload.tobytes())
+    assert list(map(key, encode_removal(copy, directory))) == list(
+        map(key, encode_removal(db, directory))
+    )
 
 
 def test_bin_removal_parameter_errors():
