@@ -146,7 +146,7 @@ def encode_addition(db: Database, directory: BinDirectoryAddition) -> list[Codew
                 Codeword(
                     sender=sender,
                     group=cls,
-                    payload=values[bits].copy(),
+                    payload=values[bits],
                     constituents=((label, int(bits.size)),),
                 )
             )

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .database import Database, NodeSet, PlacementMap, full_support
+from .database import (
+    CHUNK,
+    Database,
+    FileInstance,
+    NodeSet,
+    PlacementMap,
+    count_keys,
+    full_support,
+)
 from .exceptions import DirectoryMismatch, RebalanceError
 
 
@@ -60,10 +69,7 @@ def group_by_key(keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, np.ndarra
     Returns ``(order, offsets)``: the positions holding key ``k``, ascending,
     are ``order[offsets[k]:offsets[k + 1]]``.
     """
-    counts = np.bincount(keys, minlength=num_keys)
-    if counts.size != num_keys:
-        raise ValueError(f"keys must lie in [0, {num_keys})")
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    offsets = np.concatenate(([0], np.cumsum(count_keys(keys, num_keys))))
     return stable_key_order(keys, num_keys), offsets
 
 
@@ -75,6 +81,10 @@ class BoxDirectory:
     the bits that took a box, ascending, and ``keys`` their box keys;
     ``box_bits`` holds the same bits grouped by key, with box ``k`` at
     ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order.
+
+    Two facts about the boxes are derived once, on first use: ``box_set``,
+    the support set each box's bits share, and ``box_values``, the file's
+    values in ``box_bits`` order, from which packets are sliced.
     """
 
     placement: PlacementMap = field(repr=False)
@@ -82,9 +92,49 @@ class BoxDirectory:
     keys: np.ndarray = field(repr=False)
     box_bits: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
+    _values: tuple[FileInstance, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def span(self, key: int) -> slice:
+        """Where box ``key`` lies in ``box_bits`` and in ``box_values``."""
+        return slice(self.offsets[key], self.offsets[key + 1])
 
     def _box(self, key: int) -> np.ndarray:
-        return self.box_bits[self.offsets[key] : self.offsets[key + 1]]
+        return self.box_bits[self.span(key)]
+
+    @cached_property
+    def box_set(self) -> np.ndarray:
+        """Per box key, the support set index that all of the box's bits
+        share; -1 for an empty box or one that mixes sets."""
+        filled = np.flatnonzero(np.diff(self.offsets))
+        starts = self.offsets[filled]
+        low = np.full(filled.size, np.iinfo(np.int64).max)
+        high = np.full(filled.size, -1)
+        # Gathered a chunk of box_bits at a time; a box that straddles a
+        # chunk boundary takes the min and max of its pieces.
+        for begin in range(0, self.box_bits.size, CHUNK):
+            sets = self.placement.set_index[self.box_bits[begin : begin + CHUNK]]
+            first = np.searchsorted(starts, begin, side="right") - 1
+            boxes = np.arange(first, np.searchsorted(starts, begin + sets.size))
+            pieces = np.maximum(starts[boxes] - begin, 0)
+            np.minimum.at(low, boxes, np.minimum.reduceat(sets, pieces))
+            np.maximum.at(high, boxes, np.maximum.reduceat(sets, pieces))
+        out = np.full(self.offsets.size - 1, -1, dtype=np.int64)
+        same = low == high
+        out[filled[same]] = low[same]
+        out.flags.writeable = False
+        return out
+
+    def box_values(self, file: FileInstance) -> np.ndarray:
+        """``file.values[box_bits]``, read-only: box ``k``'s packet is
+        ``box_values(file)[offsets[k]:offsets[k + 1]]``. Gathered once and
+        kept for the last file asked about."""
+        if self._values is None or self._values[0] is not file:
+            values = file.values[self.box_bits]
+            values.flags.writeable = False
+            self._values = (file, values)
+        return self._values[1]
 
     def check_placement(self, db: Database) -> None:
         """Raise ``DirectoryMismatch`` unless ``db`` has the placement binned from.
@@ -115,7 +165,9 @@ class BoxDirectory:
         stay_table = np.array([lookup.get(s, -1) for s in place.support], dtype=np.int32)
         box_table = np.array([lookup.get(s, -1) for s in box_sets], dtype=np.int32)
         new_index = stay_table[place.set_index]
-        new_index[self.bits] = box_table[self.keys]
+        for start in range(0, self.bits.size, CHUNK):
+            part = slice(start, start + CHUNK)
+            new_index[self.bits[part]] = box_table[self.keys[part]]
         if new_index.min(initial=0) < 0:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
         return PlacementMap(new_nodes, place.replication, new_support, new_index)

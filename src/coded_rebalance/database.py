@@ -21,10 +21,30 @@ from .rng import STREAM_PLACEMENT, RngSpec
 
 NodeSet = tuple[int, ...]
 
+# Entries per pass of the loops that walk an F-sized array in chunks, so
+# each pass's temporaries (such as ``np.bincount``'s intp copy of its input)
+# stay small instead of costing another F-sized array.
+CHUNK = 1 << 16
+
 
 def full_support(nodes: Iterable[int], replication: int) -> tuple[NodeSet, ...]:
     """All replication-sized node sets, in lexicographic order."""
     return tuple(combinations(sorted(nodes), replication))
+
+
+def count_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """``np.bincount(keys, minlength=num_keys)`` for keys in [0, num_keys).
+
+    Counts chunk by chunk, so no intp copy of the whole array is made.
+    Raises ``ValueError`` for a key outside the range.
+    """
+    counts = np.zeros(num_keys, dtype=np.int64)
+    for start in range(0, keys.size, CHUNK):
+        chunk = np.bincount(keys[start : start + CHUNK], minlength=num_keys)
+        if chunk.size != num_keys:
+            raise ValueError(f"keys must lie in [0, {num_keys})")
+        counts += chunk
+    return counts
 
 
 @dataclass(frozen=True)
@@ -32,7 +52,8 @@ class FileInstance:
     """A file of ``num_bits`` binary symbols.
 
     Values are carried explicitly, not just bit identities, so XOR decoding
-    can be verified bit for bit.
+    can be verified bit for bit. They are read-only, so anything derived
+    from them stays valid for the life of the instance.
     """
 
     num_bits: int
@@ -48,6 +69,7 @@ class FileInstance:
             )
         if values.size and int(values.max()) > 1:
             raise InvalidParameters("file values must be 0 or 1")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
 
@@ -57,7 +79,9 @@ class PlacementMap:
 
     ``support[set_index[i]]`` is the node set storing bit ``i``. ``support``
     normally enumerates every replication-sized subset of ``nodes``, so a
-    uniform placement is a uniform draw of ``set_index``.
+    uniform placement is a uniform draw of ``set_index``, which is made
+    read-only at construction so the counts and masks derived from it
+    stay valid.
     """
 
     nodes: NodeSet
@@ -65,6 +89,10 @@ class PlacementMap:
     support: tuple[NodeSet, ...]
     set_index: np.ndarray
     _memberships: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.set_index.flags.writeable = False
 
     @property
     def num_bits(self) -> int:
@@ -74,8 +102,19 @@ class PlacementMap:
         return self.support[int(self.set_index[bit])]
 
     def set_counts(self) -> np.ndarray:
-        """How many bits chose each support set."""
-        return np.bincount(self.set_index, minlength=len(self.support))
+        """How many bits chose each support set.
+
+        Computed once and returned read-only; ``InvalidParameters`` if a bit
+        names no support set.
+        """
+        if self._counts is None:
+            try:
+                counts = count_keys(self.set_index, len(self.support))
+            except ValueError:
+                raise InvalidParameters("a bit's set index lies outside the support") from None
+            counts.flags.writeable = False
+            self._counts = counts
+        return self._counts
 
     def support_membership(self, node: int) -> np.ndarray:
         """Boolean mask over ``support``: which candidate sets contain ``node``.
@@ -203,15 +242,19 @@ def verify_r_balanced(db: Database, tolerance: float = 0.01) -> BalanceReport:
     statistically.
 
     The replication check demands every bit's node set have exactly
-    ``replication`` members; offenders are listed. The storage check demands
-    every node's load lie within ``tolerance`` (relative) of the expected
-    per-node load, replication/num_nodes of the file.
+    ``replication`` members; offenders are listed. It looks at the support
+    sets that bits chose, and visits the bits only when one of those sets
+    has the wrong size. The storage check demands every node's load lie
+    within ``tolerance`` (relative) of the expected per-node load,
+    replication/num_nodes of the file.
     """
     place = db.placement
-    sizes = np.fromiter((len(s) for s in place.support), dtype=np.int64,
-                        count=len(place.support))
-    bad = sizes[place.set_index] != place.replication
-    offending = tuple(int(i) for i in np.flatnonzero(bad))
+    wrong_size = np.fromiter((len(s) != place.replication for s in place.support),
+                             dtype=bool, count=len(place.support))
+    wrong_size &= place.set_counts() > 0
+    offending = ()
+    if wrong_size.any():
+        offending = tuple(int(i) for i in np.flatnonzero(wrong_size[place.set_index]))
 
     loads = node_storage_counts(db)
     expected = place.replication * db.num_bits / len(place.nodes)

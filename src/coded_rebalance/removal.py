@@ -30,7 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .codeword import BoxDirectory, Codeword, group_by_key, xor_packets
-from .database import Database, NodeSet
+from .database import Database, FileInstance, NodeSet
 from .exceptions import (
     DecodeVerificationError,
     InvalidLabel,
@@ -123,15 +123,24 @@ class BinDirectoryRemoval(BoxDirectory):
         c, code = divmod(int(self.keys[pos]), self._boxes_per_class)
         return self._labels_of_class(c)[code]
 
-    def packet_bits(self, label: RemovalBoxLabel) -> np.ndarray:
-        """Ascending bit indices assigned to one box (possibly empty);
-        ``InvalidLabel`` if the label names no box of this directory."""
+    def key_of(self, label: RemovalBoxLabel) -> int:
+        """The box key a label names; ``InvalidLabel`` if it names no box of
+        this directory."""
         cls = label.bit_class
         first, holders = self._class_keys.get(cls, (0, ()))
         if label.holder not in holders:
             raise InvalidLabel(f"{label} is not a valid box for this directory")
-        key = first + cls.index(label.target) * len(holders) + holders.index(label.holder)
-        return self._box(key)
+        return first + cls.index(label.target) * len(holders) + holders.index(label.holder)
+
+    def packet_bits(self, label: RemovalBoxLabel) -> np.ndarray:
+        """Ascending bit indices assigned to one box (possibly empty);
+        ``InvalidLabel`` if the label names no box of this directory."""
+        return self._box(self.key_of(label))
+
+    def packet_values(self, label: RemovalBoxLabel, file: FileInstance) -> np.ndarray:
+        """The file's values at ``packet_bits(label)``, read-only, sliced
+        from ``box_values``."""
+        return self.box_values(file)[self.span(self.key_of(label))]
 
     def box_labels(self) -> tuple[RemovalBoxLabel, ...]:
         """Every valid box label, empty boxes included, in box-key order."""
@@ -198,7 +207,6 @@ def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codewor
     r * C(K-1, K-r-1).
     """
     directory.check_placement(db)
-    values = db.file.values
     group_size = len(db.nodes) - db.replication - 1
 
     codewords: list[Codeword] = []
@@ -212,9 +220,9 @@ def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codewor
                 if target == sender:
                     continue
                 label = RemovalBoxLabel(target, ctx, sender)
-                bits = directory.packet_bits(label)
-                constituents.append((label, int(bits.size)))
-                packets.append(values[bits])
+                packet = directory.packet_values(label, db.file)
+                constituents.append((label, int(packet.size)))
+                packets.append(packet)
             codewords.append(
                 Codeword(
                     sender=sender,
@@ -234,8 +242,10 @@ def decode_removal(
     The node XORs away the constituents it already stores and truncates the
     result to the demanded packet's true length. Returns the packet's bit
     indices and recovered values. Raises ``DecodeVerificationError`` if a
-    cancelled packet is longer than the payload or has a bit outside the
-    node's own store: a node cannot use side information it does not hold.
+    cancelled packet is longer than the payload or its bits do not all lie
+    in one support set that the node stores: a node cannot use side
+    information it does not hold, and a removal box holds bits of one
+    stored set only.
     """
     demanded = None
     for label, true_len in codeword.constituents:
@@ -245,17 +255,22 @@ def decode_removal(
     if demanded is None:
         raise NotARecipient(f"node {node} demands no packet of this codeword")
 
+    directory.check_placement(db)
     held = db.placement.support_membership(node)
+    values = directory.box_values(db.file)
     acc = codeword.payload.copy()
     for label, true_len in codeword.constituents:
         if label.target == node:
             continue
-        bits = directory.packet_bits(label)
-        if bits.size > acc.size or not held[db.placement.set_index[bits]].all():
+        key = directory.key_of(label)
+        packet = values[directory.span(key)]
+        box_set = directory.box_set[key]
+        if packet.size > acc.size or (packet.size and (box_set < 0 or not held[box_set])):
             raise DecodeVerificationError(
-                f"node {node} cannot cancel box {label}: bits outside its store or the payload"
+                f"node {node} cannot cancel box {label}: bits outside its store, "
+                "in mixed sets or past the payload"
             )
-        acc[: bits.size] ^= db.file.values[bits]
+        acc[: packet.size] ^= packet
     label, true_len = demanded
     return directory.packet_bits(label), acc[:true_len]
 
@@ -274,11 +289,10 @@ def apply_removal_rebalance(
     directory = bin_removal(db, removed_node, rng)
     codewords = encode_removal(db, directory)
 
-    values = db.file.values
     for cw in codewords:
         for label, _ in cw.constituents:
-            bits, recovered = decode_removal(label.target, cw, db, directory)
-            if not np.array_equal(recovered, values[bits]):
+            _, recovered = decode_removal(label.target, cw, db, directory)
+            if not np.array_equal(recovered, directory.packet_values(label, db.file)):
                 raise DecodeVerificationError(
                     f"packet for node {label.target} (holder {label.holder}, "
                     f"context {label.remainder}) decoded incorrectly"

@@ -5,8 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coded_rebalance import (
+    FileInstance,
     InvalidParameters,
     PlacementMap,
     Database,
@@ -14,6 +16,7 @@ from coded_rebalance import (
     UnknownNode,
     build_database,
     exclusive_group,
+    full_support,
     node_contents,
     node_storage_counts,
     verify_r_balanced,
@@ -136,6 +139,67 @@ def test_verify_r_balanced_reports_truncated_bit():
     report = verify_r_balanced(tampered, tolerance=0.5)
     assert not report.replication_ok
     assert report.offending_bits == (17,)
+
+
+@st.composite
+def placements_with_wrong_sized_sets(draw):
+    """A full support plus up to four under- or over-sized sets, shuffled;
+    bits draw from a random subset of it, so some wrong-sized sets are
+    populated and some are not."""
+    K = draw(st.integers(2, 6))
+    r = draw(st.integers(1, K))
+    nodes = tuple(range(1, K + 1))
+    wrong_size = st.sampled_from([n for n in range(1, K + 1) if n != r])
+    extra = draw(st.lists(
+        wrong_size.flatmap(lambda n: st.permutations(nodes).map(lambda p: tuple(sorted(p[:n])))),
+        max_size=4,
+    ))
+    support = tuple(draw(st.permutations(full_support(nodes, r) + tuple(extra))))
+    used = draw(st.lists(st.integers(0, len(support) - 1), min_size=1, unique=True))
+    set_index = np.array(
+        draw(st.lists(st.sampled_from(used), min_size=1, max_size=200)), dtype=np.int32
+    )
+    placement = PlacementMap(nodes, r, support, set_index)
+    return Database(placement, FileInstance(set_index.size, np.zeros(set_index.size, np.uint8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(db=placements_with_wrong_sized_sets())
+def test_verify_r_balanced_matches_the_per_bit_reference(db):
+    place = db.placement
+    sizes = np.array([len(s) for s in place.support])
+    bad = sizes[place.set_index] != place.replication
+    report = verify_r_balanced(db, tolerance=1.0)
+    assert report.replication_ok == (not bad.any())
+    assert report.offending_bits == tuple(int(i) for i in np.flatnonzero(bad))
+    for node, load in report.node_loads.items():
+        assert load == sum(node in place.node_set(i) for i in range(db.num_bits))
+
+
+def test_set_counts_is_cached_read_only_and_equal_to_bincount():
+    # F spans several of the chunks the counts are taken in
+    db = build_database(6, 3, 200_000, RngSpec(8))
+    place = db.placement
+    counts = place.set_counts()
+    assert place.set_counts() is counts
+    assert np.array_equal(counts, np.bincount(place.set_index, minlength=len(place.support)))
+    with pytest.raises(ValueError):
+        counts[0] = 0
+
+
+def test_set_index_and_file_values_are_read_only():
+    db = build_database(6, 3, 100, RngSpec(8))
+    with pytest.raises(ValueError):
+        db.placement.set_index[0] = 1
+    with pytest.raises(ValueError):
+        db.file.values[0] ^= 1
+
+
+def test_set_counts_rejects_a_set_index_outside_the_support():
+    support = full_support((1, 2, 3), 2)
+    place = PlacementMap((1, 2, 3), 2, support, np.array([0, 3], dtype=np.int32))
+    with pytest.raises(InvalidParameters):
+        place.set_counts()
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from coded_rebalance import RngSpec, bin_removal, build_database, node_contents
 from coded_rebalance.codeword import group_by_key, stable_key_order
+from coded_rebalance.database import CHUNK, count_keys
 from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_REMOVAL_BINNING
 
@@ -54,6 +55,15 @@ def test_empty_input_gives_empty_boxes(num_keys):
 def test_key_outside_the_key_space_is_rejected():
     with pytest.raises(ValueError):
         group_by_key(np.array([0, 3], dtype=np.uint8), 3)
+
+
+def test_count_keys_equals_bincount_across_chunks():
+    keys = np.random.default_rng(5).integers(0, 7, size=3 * CHUNK + 5).astype(np.uint8)
+    assert np.array_equal(count_keys(keys, 7), np.bincount(keys, minlength=7))
+    assert np.array_equal(count_keys(keys[:0], 7), np.zeros(7))
+    keys[-1] = 7  # out of range, in the last chunk only
+    with pytest.raises(ValueError):
+        count_keys(keys, 7)
 
 
 def test_bin_removal_above_2_16_boxes_matches_a_reference_grouping():

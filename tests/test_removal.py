@@ -27,6 +27,7 @@ from coded_rebalance import (
     node_contents,
 )
 from coded_rebalance import removal
+from coded_rebalance.database import CHUNK
 from coded_rebalance.removal import boxes_for_class
 
 
@@ -186,6 +187,56 @@ def test_decode_rejects_side_information_the_node_does_not_store():
     decode_removal(1, cw, db, directory)
     with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
         decode_removal(1, cw, db, tampered)
+
+
+def test_decode_rejects_a_cancelled_box_that_mixes_support_sets():
+    db = build_database(6, 3, 9000, RngSpec(13))
+    place = db.placement
+    directory = bin_removal(db, 6, RngSpec(13))
+    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
+    # node 1 cancels the packet to node 4, whose bits all lie in {1, 5, 6};
+    # swap one of them for a bit node 1 stores in another set
+    cancelled = directory.packet_bits(RemovalBoxLabel(4, (2, 3), 5))
+    assert {place.node_set(int(b)) for b in cancelled} == {(1, 5, 6)}
+    stored = node_contents(db, 1)
+    elsewhere = stored[place.set_index[stored] != place.set_index[cancelled[0]]][0]
+    assert 1 in place.node_set(int(elsewhere))
+    box_bits = directory.box_bits.copy()
+    box_bits[np.flatnonzero(box_bits == cancelled[0])] = elsewhere
+    tampered = replace(directory, box_bits=box_bits)
+    decode_removal(1, cw, db, directory)
+    with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
+        decode_removal(1, cw, db, tampered)
+
+
+def per_box_sets(directory):
+    """Reference for ``box_set``: one box at a time."""
+    out = []
+    for k in range(directory.offsets.size - 1):
+        sets = np.unique(directory.placement.set_index[directory.box_bits[directory.span(k)]])
+        out.append(int(sets[0]) if sets.size == 1 else -1)
+    return out
+
+
+@pytest.mark.parametrize("K,r,F,node", [(6, 3, 300_000, 2), (7, 4, 3000, 7), (6, 3, 40, 6)])
+def test_box_set_matches_a_per_box_reference(K, r, F, node):
+    # 300 000 bits give about 150 000 affected bits: several chunks, with
+    # boxes straddling chunk boundaries; 40 bits leave most boxes empty
+    db = build_database(K, r, F, RngSpec(90))
+    directory = bin_removal(db, node, RngSpec(90))
+    assert directory.box_set.tolist() == per_box_sets(directory)
+    # a bit outside the removed node's store lies in another set than any
+    # box; put it first in each box that straddles a chunk boundary, and
+    # in the largest box
+    outside = np.setdiff1d(np.arange(F), directory.bits)[0]
+    starts, ends = directory.offsets[:-1], directory.offsets[1:]
+    straddling = starts[(starts // CHUNK != (ends - 1) // CHUNK) & (ends > starts)]
+    for pos in [*straddling.tolist(), starts[np.argmax(ends - starts)]]:
+        box_bits = directory.box_bits.copy()
+        box_bits[pos] = outside
+        tampered = replace(directory, box_bits=box_bits)
+        assert tampered.box_set.tolist() == per_box_sets(tampered)
+        assert np.sum(tampered.box_set < 0) == np.sum(directory.box_set < 0) + 1
 
 
 def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
