@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_by_key
+from .codeword import BoxDirectory, Codeword, group_bits
 from .database import Database, NodeSet
 from .exceptions import InvalidLabel, ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
@@ -91,7 +91,7 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     """Assign every bit one of K+1 codes, uniformly.
 
     Draws are independent across bits and consumed in ascending bit order;
-    ``group_by_key`` then groups the moving bits by box key in O(F). The new
+    ``group_bits`` then groups the moving bits by box key. The new
     node's id is one past the current largest.
     """
     place = db.placement
@@ -109,14 +109,15 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     moving = np.flatnonzero(codes < r)
     num_keys = len(place.support) * r
     key_dtype = np.min_scalar_type(max(num_keys - 1, 0))
-    keys = (place.set_index[moving] * r + codes[moving]).astype(key_dtype)
-    order, offsets = group_by_key(keys, num_keys)
+    # Cast before the multiply: a narrow set index times r would wrap.
+    keys = place.set_index[moving].astype(key_dtype) * r + codes[moving].astype(key_dtype)
+    box_bits, offsets = group_bits(moving, keys, num_keys)
 
     return BinDirectoryAddition(
         placement=place,
         bits=moving,
         keys=keys,
-        box_bits=moving[order],
+        box_bits=box_bits,
         offsets=offsets,
         new_node=max(nodes) + 1,
         classes=classes,

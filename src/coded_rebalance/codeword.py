@@ -16,6 +16,7 @@ from .database import (
     PlacementMap,
     count_keys,
     full_support,
+    index_dtype,
 )
 from .exceptions import DirectoryMismatch, RebalanceError
 
@@ -49,28 +50,26 @@ def xor_packets(packets: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def stable_key_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for integer keys in [0, num_keys).
+def group_bits(bits: np.ndarray, keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group ascending bits by integer key in [0, num_keys), in CSR form.
 
-    An LSD radix sort, O(len(keys)) per pass: one stable argsort of a uint16
-    digit per 16 bits of key space, which numpy runs as a radix sort.
-    """
-    order = None
-    for shift in range(0, max(int(num_keys - 1).bit_length(), 1), 16):
-        digit = ((keys if order is None else keys[order]) >> shift).astype(np.uint16)
-        perm = np.argsort(digit, kind="stable")
-        order = perm if order is None else order[perm]
-    return order
-
-
-def group_by_key(keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group positions by integer key in CSR form.
-
-    Returns ``(order, offsets)``: the positions holding key ``k``, ascending,
-    are ``order[offsets[k]:offsets[k + 1]]``.
+    Returns ``(box_bits, offsets)``: the bits with key ``k``, ascending, are
+    ``box_bits[offsets[k]:offsets[k + 1]]``. Sorts ``key << shift | bit`` in
+    uint32 or uint64, ``shift`` being the largest bit's bit length, so the
+    packing is exact; the bits are distinct, so the unstable sort gives the
+    stable order. ``ValueError`` for a key out of range or a pair over 64 bits.
     """
     offsets = np.concatenate(([0], np.cumsum(count_keys(keys, num_keys))))
-    return stable_key_order(keys, num_keys), offsets
+    shift = int(bits[-1]).bit_length() if bits.size else 0
+    width = shift + max(num_keys - 1, 0).bit_length()
+    if width > 64:
+        raise ValueError(f"a (key, bit) pair needs {width} bits, more than 64")
+    packed = keys.astype(np.uint32 if width <= 32 else np.uint64)
+    packed <<= shift
+    np.bitwise_or(packed, bits, out=packed, dtype=packed.dtype, casting="unsafe")
+    packed.sort()
+    packed &= (1 << shift) - 1
+    return packed.astype(np.intp), offsets
 
 
 @dataclass
@@ -161,13 +160,15 @@ class BoxDirectory:
         """
         place = self.placement
         new_support = full_support(new_nodes, place.replication)
+        unmapped = len(new_support)  # the index of a set outside the new support
         lookup = {s: i for i, s in enumerate(new_support)}
-        stay_table = np.array([lookup.get(s, -1) for s in place.support], dtype=np.int32)
-        box_table = np.array([lookup.get(s, -1) for s in box_sets], dtype=np.int32)
+        dtype = index_dtype(unmapped)
+        stay_table = np.array([lookup.get(s, unmapped) for s in place.support], dtype=dtype)
+        box_table = np.array([lookup.get(s, unmapped) for s in box_sets], dtype=dtype)
         new_index = stay_table[place.set_index]
         for start in range(0, self.bits.size, CHUNK):
             part = slice(start, start + CHUNK)
             new_index[self.bits[part]] = box_table[self.keys[part]]
-        if new_index.min(initial=0) < 0:
+        if new_index.max(initial=0) >= unmapped:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
         return PlacementMap(new_nodes, place.replication, new_support, new_index)

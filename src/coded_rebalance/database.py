@@ -32,6 +32,11 @@ def full_support(nodes: Iterable[int], replication: int) -> tuple[NodeSet, ...]:
     return tuple(combinations(sorted(nodes), replication))
 
 
+def index_dtype(num_sets: int) -> np.dtype:
+    """The narrowest dtype holding 0..num_sets: uint8 to 255 sets, uint16 to 65 535."""
+    return np.min_scalar_type(num_sets)
+
+
 def count_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
     """``np.bincount(keys, minlength=num_keys)`` for keys in [0, num_keys).
 
@@ -81,7 +86,7 @@ class PlacementMap:
     normally enumerates every replication-sized subset of ``nodes``, so a
     uniform placement is a uniform draw of ``set_index``, which is made
     read-only at construction so the counts and masks derived from it
-    stay valid.
+    stay valid. Any integer dtype serves.
     """
 
     nodes: NodeSet
@@ -177,8 +182,8 @@ def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
 
     Each bit's storing set is drawn uniformly from all replication-sized
     subsets of the ``num_nodes`` nodes (exactly uniform, via a uniform index
-    into the enumerated subsets), and each bit's value is an independent
-    fair coin.
+    into the enumerated subsets, drawn as int32 and stored in
+    ``index_dtype``), and each bit's value is an independent fair coin.
 
     Parameters
     ----------
@@ -198,6 +203,7 @@ def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
     support = full_support(nodes, replication)
     gen = rng.generator(STREAM_PLACEMENT)
     set_index = gen.integers(0, len(support), size=num_bits, dtype=np.int32)
+    set_index = set_index.astype(index_dtype(len(support)))
     values = gen.integers(0, 2, size=num_bits, dtype=np.uint8)
     placement = PlacementMap(nodes, replication, support, set_index)
     return Database(placement, FileInstance(num_bits, values))

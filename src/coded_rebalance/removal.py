@@ -29,8 +29,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_by_key, xor_packets
-from .database import Database, FileInstance, NodeSet
+from .codeword import BoxDirectory, Codeword, group_bits, xor_packets
+from .database import CHUNK, Database, FileInstance, NodeSet
 from .exceptions import (
     DecodeVerificationError,
     InvalidLabel,
@@ -153,8 +153,8 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     For each class of affected bits there are (K-r)(r-1) boxes: one per
     (target, holder) pair, with the target drawn from the class and the
     holder from the bit's surviving storers. Draws are independent across
-    bits and consumed in ascending bit order; ``group_by_key`` then groups
-    the bits by box key in O(F).
+    bits and consumed in ascending bit order; ``group_bits`` then groups
+    the bits by box key.
     """
     place = db.placement
     nodes = place.nodes
@@ -181,16 +181,18 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     # removed node are never read.
     class_base = ((np.cumsum(member) - 1) * boxes_per_class).astype(key_dtype)
 
-    codes = rng.generator(STREAM_REMOVAL_BINNING).integers(0, boxes_per_class, size=affected.size)
-    keys = class_base[place.set_index[affected]] + codes.astype(key_dtype)
-    del codes
-    order, offsets = group_by_key(keys, num_keys)
+    keys = class_base[place.set_index[affected]]
+    # Bounded int64 draws consume the stream value by value: chunks draw the same codes.
+    gen = rng.generator(STREAM_REMOVAL_BINNING)
+    for part in np.split(keys, range(CHUNK, keys.size, CHUNK)):
+        part += gen.integers(0, boxes_per_class, size=part.size).astype(key_dtype)
+    box_bits, offsets = group_bits(affected, keys, num_keys)
 
     return BinDirectoryRemoval(
         placement=place,
         bits=affected,
         keys=keys,
-        box_bits=affected[order],
+        box_bits=box_bits,
         offsets=offsets,
         removed_node=removed_node,
         survivors=survivors,

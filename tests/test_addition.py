@@ -21,6 +21,7 @@ from coded_rebalance import (
     node_storage_counts,
 )
 from coded_rebalance.addition import boxes_for_class
+from coded_rebalance.rng import STREAM_ADDITION_BINNING
 
 
 def test_box_set_for_one_class():
@@ -203,3 +204,19 @@ def test_encode_rejects_a_placement_with_another_support():
     other = PlacementMap(place.nodes, 2, full_support((1, 2, 3, 5), 2), place.set_index)
     with pytest.raises(DirectoryMismatch):
         encode_addition(Database(other, db.file), directory)
+
+
+def test_keys_do_not_wrap_with_a_uint8_set_index():
+    # K=10, r=5: 252 support sets, so set_index is uint8, and 1 260 box keys
+    K, r, F, seed = 10, 5, 20_000, 3
+    db = build_database(K, r, F, RngSpec(seed))
+    assert db.placement.set_index.dtype == np.uint8
+    directory = bin_addition(db, RngSpec(seed))
+    codes = RngSpec(seed).generator(STREAM_ADDITION_BINNING).integers(
+        0, K + 1, size=F, dtype=np.int16
+    )
+    moving = codes < r
+    expected = db.placement.set_index[moving].astype(np.int64) * r + codes[moving]
+    assert directory.offsets.size - 1 == 1260
+    assert np.array_equal(directory.bits, np.flatnonzero(moving))
+    assert np.array_equal(directory.keys, expected)

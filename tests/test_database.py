@@ -21,6 +21,7 @@ from coded_rebalance import (
     node_storage_counts,
     verify_r_balanced,
 )
+from coded_rebalance.rng import STREAM_PLACEMENT
 
 
 def test_every_bit_replicated_three_times():
@@ -193,6 +194,16 @@ def test_set_index_and_file_values_are_read_only():
         db.placement.set_index[0] = 1
     with pytest.raises(ValueError):
         db.file.values[0] ^= 1
+
+
+@pytest.mark.parametrize("K,r,dtype", [(6, 3, np.uint8), (16, 5, np.uint16)])
+def test_set_index_is_stored_narrow_with_the_same_draws(K, r, dtype):
+    db = build_database(K, r, 5000, RngSpec(2))
+    assert db.placement.set_index.dtype == dtype
+    drawn = RngSpec(2).generator(STREAM_PLACEMENT).integers(
+        0, math.comb(K, r), size=5000, dtype=np.int32
+    )
+    assert np.array_equal(db.placement.set_index, drawn)
 
 
 def test_set_counts_rejects_a_set_index_outside_the_support():

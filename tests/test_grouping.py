@@ -7,54 +7,75 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coded_rebalance import RngSpec, bin_removal, build_database, node_contents
-from coded_rebalance.codeword import group_by_key, stable_key_order
+from coded_rebalance.codeword import group_bits
 from coded_rebalance.database import CHUNK, count_keys
 from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_REMOVAL_BINNING
 
-# Key spaces on both sides of each 16-bit radix digit boundary.
+# Key spaces on both sides of 8- and 16-bit key dtypes.
 DENSE_KEY_SPACES = (1, 2, 255, 256, 2**16, 2**16 + 1, 3 * 2**16 + 5)
-# Too large for dense offsets; only the sort order is checked.
-WIDE_KEY_SPACES = (2**32 + 1, 2**40 + 3, 2**63)
 
 
 @st.composite
-def keyed(draw, spaces):
-    """Keys drawn from a few distinct values, so ties are frequent."""
-    num_keys = draw(st.sampled_from(spaces))
+def grouped(draw, packed_widths):
+    """Ascending distinct bits whose largest bit, packed beside the key space,
+    takes one of ``packed_widths`` bits; keys drawn from a few distinct
+    values, so ties are frequent."""
+    num_keys = draw(st.sampled_from(DENSE_KEY_SPACES))
+    key_width = (num_keys - 1).bit_length()
+    # bits are intp, so the largest is below 2**63
+    shift = min(draw(st.sampled_from(packed_widths)) - key_width, 63)
+    top = draw(st.integers(1 << max(shift - 1, 0), (1 << shift) - 1)) if shift else 0
+    below = draw(st.lists(st.integers(0, max(top - 1, 0)), max_size=300, unique=True))
+    bits = np.array(sorted({*below, top}), dtype=np.intp)
     pool = draw(st.lists(st.integers(0, num_keys - 1), min_size=1, max_size=8))
-    keys = draw(st.lists(st.sampled_from(pool), max_size=300))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=bits.size, max_size=bits.size))
     dtype = draw(st.sampled_from([np.min_scalar_type(num_keys - 1), np.dtype(np.int64)]))
-    return np.array(keys, dtype=dtype), num_keys
+    return bits, np.array(keys, dtype=dtype), num_keys
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=keyed(DENSE_KEY_SPACES))
-def test_group_by_key_is_stable_argsort_plus_bincount_offsets(case):
-    keys, num_keys = case
-    order, offsets = group_by_key(keys, num_keys)
-    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+def assert_grouped(bits, keys, num_keys):
+    box_bits, offsets = group_bits(bits, keys, num_keys)
+    assert box_bits.dtype == np.intp
+    assert np.array_equal(box_bits, bits[np.argsort(keys, kind="stable")])
     counts = np.bincount(keys.astype(np.int64), minlength=num_keys)
     assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=grouped(packed_widths=(18, 19, 20, 31, 32, 33)))
+def test_group_bits_is_stable_argsort_plus_bincount_offsets(case):
+    # packed widths on both sides of the uint32/uint64 line
+    assert_grouped(*case)
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=keyed(WIDE_KEY_SPACES))
-def test_stable_key_order_above_2_32(case):
-    keys, num_keys = case
-    assert np.array_equal(stable_key_order(keys, num_keys), np.argsort(keys, kind="stable"))
+@given(case=grouped(packed_widths=(52, 60, 64)))
+def test_group_bits_above_2_32(case):
+    # bits of 2**32 and above, packed into uint64
+    bits, keys, num_keys = case
+    assert bits[-1] >= 2**32
+    assert_grouped(bits, keys, num_keys)
+
+
+def test_group_bits_rejects_pairs_wider_than_64_bits():
+    bits = np.array([3, 2**62], dtype=np.intp)
+    keys = np.array([1, 0], dtype=np.uint8)
+    assert group_bits(bits, keys, 2)[0].tolist() == [2**62, 3]  # 64 bits: fits
+    with pytest.raises(ValueError):
+        group_bits(bits, keys, 3)
 
 
 @pytest.mark.parametrize("num_keys", [0, 1, 2**16, 2**16 + 1])
 def test_empty_input_gives_empty_boxes(num_keys):
-    order, offsets = group_by_key(np.empty(0, dtype=np.uint8), num_keys)
-    assert order.size == 0
+    box_bits, offsets = group_bits(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8), num_keys)
+    assert box_bits.size == 0 and box_bits.dtype == np.intp
     assert np.array_equal(offsets, np.zeros(num_keys + 1))
 
 
 def test_key_outside_the_key_space_is_rejected():
     with pytest.raises(ValueError):
-        group_by_key(np.array([0, 3], dtype=np.uint8), 3)
+        group_bits(np.array([4, 9]), np.array([0, 3], dtype=np.uint8), 3)
 
 
 def test_count_keys_equals_bincount_across_chunks():
@@ -67,7 +88,7 @@ def test_count_keys_equals_bincount_across_chunks():
 
 
 def test_bin_removal_above_2_16_boxes_matches_a_reference_grouping():
-    # K=20, r=5: C(19, 4) classes x 60 boxes = 232 560 box keys, two radix passes
+    # K=20, r=5: C(19, 4) classes x 60 boxes = 232 560 box keys, an 18-bit key space
     K, r, k, seed = 20, 5, 20, 4
     db = build_database(K, r, 3000, RngSpec(seed))
     directory = bin_removal(db, k, RngSpec(seed))

@@ -14,6 +14,7 @@ from coded_rebalance import (
     InvalidLabel,
     NotARecipient,
     PlacementMap,
+    RebalanceError,
     RemovalBoxLabel,
     ReplicationOutOfRange,
     RngSpec,
@@ -29,6 +30,7 @@ from coded_rebalance import (
 from coded_rebalance import removal
 from coded_rebalance.database import CHUNK
 from coded_rebalance.removal import boxes_for_class
+from coded_rebalance.rng import STREAM_REMOVAL_BINNING
 
 
 def test_box_set_for_one_class():
@@ -414,3 +416,34 @@ def test_bin_removal_parameter_errors():
         bin_removal(build_database(6, 1, 100, RngSpec(1)), 6, RngSpec(1))
     with pytest.raises(ReplicationOutOfRange):
         bin_removal(build_database(6, 6, 100, RngSpec(1)), 6, RngSpec(1))
+
+
+def test_a_removal_draw_split_at_chunk_boundaries_equals_one_whole_draw():
+    # bin_removal draws its codes CHUNK at a time
+    size = 3 * CHUNK + 5
+    for bound in range(1, 13):
+        whole = RngSpec(9).generator(STREAM_REMOVAL_BINNING).integers(0, bound, size=size)
+        gen = RngSpec(9).generator(STREAM_REMOVAL_BINNING)
+        split = [gen.integers(0, bound, size=min(CHUNK, size - s)) for s in range(0, size, CHUNK)]
+        assert np.array_equal(np.concatenate(split), whole), bound
+
+
+def test_commit_rejects_a_box_set_outside_the_new_support():
+    db = build_database(6, 3, 2000, RngSpec(5))
+    directory = bin_removal(db, 6, RngSpec(5))
+    box_sets = [(1, 2, 3)] * (directory.offsets.size - 1)
+    directory.commit(directory.survivors, box_sets)  # every box set is in the new support
+    box_sets[int(np.flatnonzero(np.diff(directory.offsets))[0])] = (1, 2, 6)
+    with pytest.raises(RebalanceError):
+        directory.commit(directory.survivors, box_sets)
+
+
+def test_commit_rejects_a_stay_set_that_lost_a_node():
+    db = build_database(6, 3, 2000, RngSpec(5))
+    directory = bin_removal(db, 6, RngSpec(5))
+    box_sets = [(1, 2, 3)] * (directory.offsets.size - 1)
+    # bits[0] is stored at node 6 but left out of the binned bits, so it keeps
+    # a set that names the removed node
+    unbinned = replace(directory, bits=directory.bits[1:], keys=directory.keys[1:])
+    with pytest.raises(RebalanceError):
+        unbinned.commit(directory.survivors, box_sets)
