@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .codeword import BoxDirectory, Codeword, group_bits
 from .database import Database, NodeSet
-from .exceptions import InvalidLabel, ReplicationOutOfRange
+from .exceptions import ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
 
 
@@ -58,25 +57,21 @@ class BinDirectoryAddition(BoxDirectory):
         return int(self.codes.size)
 
     @cached_property
-    def _class_ordinals(self) -> dict[NodeSet, int]:
-        return {cls: s for s, cls in enumerate(self.classes)}
+    def rows(self) -> np.ndarray:
+        """Box keys by handoff, one per row, in the order of
+        ``encode_addition``: by sender, then class lexicographically."""
+        r = self.placement.replication
+        s, code = np.divmod(np.arange(self.offsets.size - 1), r)
+        cls = np.asarray(self.classes).reshape(len(self.classes), -1)[s]
+        senders = np.asarray(self.placement.support)[s, code]
+        return np.lexsort((*cls.T[::-1], senders))[:, None]
 
     def label_of(self, bit: int) -> AdditionBoxLabel | None:
         """The move box of one bit, or ``None`` for a bit that stays."""
         code = int(self.codes[bit])
         if code >= self.placement.replication:
             return None
-        s = int(self.placement.set_index[bit])
-        return AdditionBoxLabel(self.classes[s], self.placement.support[s][code])
-
-    def packet_bits(self, label: AdditionBoxLabel) -> np.ndarray:
-        """Ascending bit indices of one move box's packet; ``InvalidLabel`` for
-        a box this directory lacks."""
-        s = self._class_ordinals.get(tuple(sorted(label.bit_class)))
-        stored = () if s is None else self.placement.support[s]
-        if label.node not in stored:
-            raise InvalidLabel(f"{label} is not a move box of this directory")
-        return self._box(s * len(stored) + stored.index(label.node))
+        return self.labels[int(self.placement.set_index[bit]) * self.placement.replication + code]
 
     def box_labels(self) -> tuple[AdditionBoxLabel, ...]:
         """Every move box label, empty boxes included, in box-key order."""
@@ -134,24 +129,7 @@ def encode_addition(db: Database, directory: BinDirectoryAddition) -> list[Codew
     K * C(K-1, K-r).
     """
     directory.check_placement(db)
-    values = db.file.values
-    class_size = len(db.nodes) - db.replication
-
-    codewords: list[Codeword] = []
-    for sender in db.nodes:
-        rest = tuple(n for n in db.nodes if n != sender)
-        for cls in combinations(rest, class_size):
-            label = AdditionBoxLabel(cls, sender)
-            bits = directory.packet_bits(label)
-            codewords.append(
-                Codeword(
-                    sender=sender,
-                    group=cls,
-                    payload=values[bits],
-                    constituents=((label, int(bits.size)),),
-                )
-            )
-    return codewords
+    return directory.codewords(db.file, lambda label: (label.node, label.bit_class))
 
 
 def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, list[Codeword]]:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .codeword import Codeword
-from .database import Database, NodeSet, PlacementMap
+from .database import NodeSet, PlacementMap
 from .exceptions import (
     InvalidParameters,
     MismatchedParameters,
@@ -221,17 +221,13 @@ def addition_load(
     )
 
 
-def uniformity_check(
-    placement: PlacementMap | Database, support: Sequence[NodeSet]
-) -> DistributionCheck:
+def uniformity_check(placement: PlacementMap, support: Sequence[NodeSet]) -> DistributionCheck:
     """Tabulate observed node sets against an expected uniform support.
 
     Any populated node set outside ``support`` is a hard failure: the
     rebalanced placement law would be violated, so a SupportViolation is
     raised rather than folded into the statistics.
     """
-    if isinstance(placement, Database):
-        placement = placement.placement
     support = tuple(tuple(sorted(int(n) for n in s)) for s in support)
     lookup = {s: i for i, s in enumerate(support)}
     counts = np.zeros(len(support), dtype=np.int64)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .database import (
     full_support,
     index_dtype,
 )
-from .exceptions import DirectoryMismatch, RebalanceError
+from .exceptions import DirectoryMismatch, InvalidLabel, RebalanceError
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class Codeword:
     @property
     def payload_bits(self) -> int:
         return int(self.payload.size)
-
-
-def xor_packets(packets: Sequence[np.ndarray]) -> np.ndarray:
-    """Position-wise XOR after zero-padding every packet at the tail."""
-    length = max((int(p.size) for p in packets), default=0)
-    out = np.zeros(length, dtype=np.uint8)
-    for p in packets:
-        out[: p.size] ^= p
-    return out
 
 
 def group_bits(bits: np.ndarray, keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,6 +75,10 @@ class BoxDirectory:
     Two facts about the boxes are derived once, on first use: ``box_set``,
     the support set each box's bits share, and ``box_values``, the file's
     values in ``box_bits`` order, from which packets are sliced.
+
+    Each subclass names its boxes with ``box_labels()``, read once into
+    ``labels``, and lays out its schedule as ``rows``: the box keys of one
+    codeword per row, in broadcast order, every key in exactly one row.
     """
 
     placement: PlacementMap = field(repr=False)
@@ -99,8 +94,26 @@ class BoxDirectory:
         """Where box ``key`` lies in ``box_bits`` and in ``box_values``."""
         return slice(self.offsets[key], self.offsets[key + 1])
 
-    def _box(self, key: int) -> np.ndarray:
-        return self.box_bits[self.span(key)]
+    @cached_property
+    def labels(self) -> tuple:
+        """Every box's label, by key."""
+        return self.box_labels()
+
+    @cached_property
+    def _keys_by_label(self) -> dict:
+        return {label: key for key, label in enumerate(self.labels)}
+
+    def key_of(self, label) -> int:
+        """The key of the box ``label`` names; ``InvalidLabel`` if it names none."""
+        try:
+            return self._keys_by_label[label]
+        except KeyError:
+            raise InvalidLabel(f"{label} is not a box of this directory") from None
+
+    def packet_bits(self, label) -> np.ndarray:
+        """Ascending bit indices of one box (possibly empty); ``InvalidLabel``
+        if the label names no box of this directory."""
+        return self.box_bits[self.span(self.key_of(label))]
 
     @cached_property
     def box_set(self) -> np.ndarray:
@@ -134,6 +147,33 @@ class BoxDirectory:
             values.flags.writeable = False
             self._values = (file, values)
         return self._values[1]
+
+    def row_xors(self, file: FileInstance) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's packets XORed, zero-padded to the row's longest, laid
+        end to end in one buffer; and the offsets of the rows in it."""
+        sizes = np.diff(self.offsets)[self.rows]
+        starts = np.concatenate(([0], np.cumsum(sizes.max(axis=1))))
+        out = np.zeros(starts[-1], dtype=np.uint8)
+        values = self.box_values(file)
+        row, col = np.nonzero(sizes)  # the non-empty boxes, row by row
+        begins, lengths = self.offsets[self.rows[row, col]], sizes[row, col]
+        for start, begin, size in zip(starts[row].tolist(), begins.tolist(), lengths.tolist()):
+            out[start : start + size] ^= values[begin : begin + size]
+        return out, starts
+
+    def codewords(
+        self, file: FileInstance, head: Callable[[object], tuple[int, NodeSet]]
+    ) -> list[Codeword]:
+        """One codeword per row: the row's XOR, with each box's label and
+        true length. ``head`` gives a row's sender and group from its first
+        label. Payloads are views into one buffer."""
+        payload, starts = self.row_xors(file)
+        sizes, labels, bounds = np.diff(self.offsets).tolist(), self.labels, starts.tolist()
+        return [
+            Codeword(*head(labels[row[0]]), payload[begin:end],
+                     tuple((labels[k], sizes[k]) for k in row))
+            for row, begin, end in zip(self.rows.tolist(), bounds, bounds[1:])
+        ]
 
     def check_placement(self, db: Database) -> None:
         """Raise ``DirectoryMismatch`` unless ``db`` has the placement binned from.

@@ -182,7 +182,7 @@ def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
 
     Each bit's storing set is drawn uniformly from all replication-sized
     subsets of the ``num_nodes`` nodes (exactly uniform, via a uniform index
-    into the enumerated subsets, drawn as int32 and stored in
+    into the enumerated subsets, drawn as int32 a chunk at a time into
     ``index_dtype``), and each bit's value is an independent fair coin.
 
     Parameters
@@ -202,8 +202,10 @@ def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
     nodes = tuple(range(1, num_nodes + 1))
     support = full_support(nodes, replication)
     gen = rng.generator(STREAM_PLACEMENT)
-    set_index = gen.integers(0, len(support), size=num_bits, dtype=np.int32)
-    set_index = set_index.astype(index_dtype(len(support)))
+    set_index = np.empty(num_bits, dtype=index_dtype(len(support)))
+    # Bounded int32 draws consume the stream value by value: chunks draw the same indices.
+    for part in np.split(set_index, range(CHUNK, num_bits, CHUNK)):
+        part[:] = gen.integers(0, len(support), size=part.size, dtype=np.int32)
     values = gen.integers(0, 2, size=num_bits, dtype=np.uint8)
     placement = PlacementMap(nodes, replication, support, set_index)
     return Database(placement, FileInstance(num_bits, values))

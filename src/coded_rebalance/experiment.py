@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from math import comb
+
 import numpy as np
 
 from .addition import apply_addition_rebalance
@@ -31,6 +33,11 @@ EVENT_ADD = "add"
 
 DEFAULT_BITS = 10**6
 DEFAULT_TRIALS = {EVENT_REMOVE: 30, EVENT_ADD: 100}
+
+# The most support sets, and the most box keys, a configuration may enumerate
+# as Python tuples and labels. A removal trial at F=10^5 costs about 0.5 KB
+# and 10 us per box key (K=24, r=5: 672 980 keys, 346 MB peak RSS, 6.9 s).
+MAX_ENUMERATED = 2**22
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,12 @@ class ExperimentConfig:
         K, r = self.num_nodes, self.replication
         if K < 1:
             problems.append("num_nodes: must be at least 1")
+        sizes = (0,)
         if self.event == EVENT_REMOVE:
             if not 2 <= r <= K - 1:
                 problems.append(f"replication: removal needs 2 <= r <= {K - 1}, got {r}")
+            else:
+                sizes = (comb(K, r), comb(K - 1, r - 1) * (K - r) * (r - 1))
             if self.removed_node is None:
                 problems.append("removed_node: required for the remove event")
             elif not 1 <= self.removed_node <= K:
@@ -67,10 +77,15 @@ class ExperimentConfig:
         elif self.event == EVENT_ADD:
             if not 1 <= r <= K:
                 problems.append(f"replication: addition needs 1 <= r <= {K}, got {r}")
+            else:
+                sizes = (comb(K + 1, r), comb(K, r) * r)
             if self.removed_node is not None:
                 problems.append("removed_node: meaningless for the add event")
         else:
             problems.append(f"event: must be '{EVENT_REMOVE}' or '{EVENT_ADD}', got {self.event!r}")
+        if max(sizes) > MAX_ENUMERATED:
+            problems.append(f"size: {sizes[0]} support sets and {sizes[1]} box keys, "
+                            f"more than {MAX_ENUMERATED}")
         if self.num_bits < 1:
             problems.append("num_bits: must be at least 1")
         if self.trials is None or self.trials < 1:

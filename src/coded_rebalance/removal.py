@@ -16,28 +16,21 @@ broadcasts instead of raw copies:
     left with exactly the packet addressed to it; the shared directory
     supplies bit order and true lengths so padding is discarded safely.
 
-Storage is rewritten only after every recovered packet has been verified
-against the original file values, so no partially rebalanced state is ever
-observable.
+Storage is rewritten only after the whole schedule has been checked to
+decode at every recipient from bits it stores, so no partially rebalanced
+state is ever observable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_bits, xor_packets
-from .database import CHUNK, Database, FileInstance, NodeSet
-from .exceptions import (
-    DecodeVerificationError,
-    InvalidLabel,
-    NotARecipient,
-    ReplicationOutOfRange,
-    UnknownNode,
-)
+from .codeword import BoxDirectory, Codeword, group_bits
+from .database import CHUNK, Database, NodeSet
+from .exceptions import DecodeVerificationError, NotARecipient, ReplicationOutOfRange, UnknownNode
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
 
 @dataclass(frozen=True)
@@ -53,11 +46,6 @@ class RemovalBoxLabel:
     target: int
     remainder: NodeSet
     holder: int
-
-    @property
-    def bit_class(self) -> NodeSet:
-        """Survivors that did not store the box's bits before rebalancing."""
-        return tuple(sorted((self.target, *self.remainder)))
 
 
 def boxes_for_class(nodes: NodeSet, removed_node: int, bit_class: NodeSet) -> tuple[RemovalBoxLabel, ...]:
@@ -93,58 +81,44 @@ class BinDirectoryRemoval(BoxDirectory):
         return int(self.bits.size)
 
     @cached_property
-    def targets(self) -> np.ndarray:
-        """The survivor each bit of ``bits`` moves to."""
-        return np.repeat(np.asarray(self.classes).ravel(), self.placement.replication - 1)[self.keys]
-
-    @property
-    def _boxes_per_class(self) -> int:
-        r = self.placement.replication
-        return (len(self.survivors) + 1 - r) * (r - 1)
+    def box_targets(self) -> np.ndarray:
+        """The survivor each box's bits move to, by key."""
+        return np.repeat(np.asarray(self.classes).ravel(), self.placement.replication - 1)
 
     @cached_property
-    def _class_keys(self) -> dict[NodeSet, tuple[int, NodeSet]]:
-        """Each class's first box key and its holders in box-key order."""
-        survivors = sorted(self.survivors)
-        return {
-            cls: (c * self._boxes_per_class, tuple(n for n in survivors if n not in cls))
-            for c, cls in enumerate(self.classes)
-        }
+    def targets(self) -> np.ndarray:
+        """The survivor each bit of ``bits`` moves to."""
+        return self.box_targets[self.keys]
 
-    def _labels_of_class(self, c: int) -> tuple[RemovalBoxLabel, ...]:
-        nodes = (*self.survivors, self.removed_node)
-        return boxes_for_class(nodes, self.removed_node, self.classes[c])
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Box keys by codeword, in the order of ``encode_removal``: contexts
+        (class minus target) lexicographically, then holders; each row's
+        r-1 boxes by target."""
+        r = self.placement.replication
+        cls = np.asarray(self.classes, dtype=np.min_scalar_type(max(self.survivors)))
+        # A class's holders are its support set without the removed node.
+        member = self.placement.support_membership(self.removed_node)
+        sets = np.asarray(self.placement.support)[member]
+        holders = sets[sets != self.removed_node].reshape(-1, r - 1)
+        c, rest = np.divmod(np.arange(self.offsets.size - 1), cls.shape[1] * (r - 1))
+        t, h = np.divmod(rest, r - 1)
+        context = [cls[c, j + (j >= t)] for j in reversed(range(cls.shape[1] - 1))]
+        return np.lexsort((self.box_targets, holders[c, h], *context)).reshape(-1, r - 1)
 
     def label_of(self, bit: int) -> RemovalBoxLabel:
         """The box assigned to one bit of the removed node's store."""
         pos = int(np.searchsorted(self.bits, bit))
         if pos == self.bits.size or int(self.bits[pos]) != bit:
             raise KeyError(f"bit {bit} was not stored at node {self.removed_node}")
-        c, code = divmod(int(self.keys[pos]), self._boxes_per_class)
-        return self._labels_of_class(c)[code]
-
-    def key_of(self, label: RemovalBoxLabel) -> int:
-        """The box key a label names; ``InvalidLabel`` if it names no box of
-        this directory."""
-        cls = label.bit_class
-        first, holders = self._class_keys.get(cls, (0, ()))
-        if label.holder not in holders:
-            raise InvalidLabel(f"{label} is not a valid box for this directory")
-        return first + cls.index(label.target) * len(holders) + holders.index(label.holder)
-
-    def packet_bits(self, label: RemovalBoxLabel) -> np.ndarray:
-        """Ascending bit indices assigned to one box (possibly empty);
-        ``InvalidLabel`` if the label names no box of this directory."""
-        return self._box(self.key_of(label))
-
-    def packet_values(self, label: RemovalBoxLabel, file: FileInstance) -> np.ndarray:
-        """The file's values at ``packet_bits(label)``, read-only, sliced
-        from ``box_values``."""
-        return self.box_values(file)[self.span(self.key_of(label))]
+        return self.labels[int(self.keys[pos])]
 
     def box_labels(self) -> tuple[RemovalBoxLabel, ...]:
         """Every valid box label, empty boxes included, in box-key order."""
-        return tuple(lab for c in range(len(self.classes)) for lab in self._labels_of_class(c))
+        nodes = (*self.survivors, self.removed_node)
+        return tuple(
+            lab for cls in self.classes for lab in boxes_for_class(nodes, self.removed_node, cls)
+        )
 
 
 def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRemoval:
@@ -209,31 +183,7 @@ def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codewor
     r * C(K-1, K-r-1).
     """
     directory.check_placement(db)
-    group_size = len(db.nodes) - db.replication - 1
-
-    codewords: list[Codeword] = []
-    for ctx in combinations(directory.survivors, group_size):
-        ctx_set = set(ctx)
-        members = tuple(n for n in directory.survivors if n not in ctx_set)
-        for sender in members:
-            constituents = []
-            packets = []
-            for target in members:
-                if target == sender:
-                    continue
-                label = RemovalBoxLabel(target, ctx, sender)
-                packet = directory.packet_values(label, db.file)
-                constituents.append((label, int(packet.size)))
-                packets.append(packet)
-            codewords.append(
-                Codeword(
-                    sender=sender,
-                    group=ctx,
-                    payload=xor_packets(packets),
-                    constituents=tuple(constituents),
-                )
-            )
-    return codewords
+    return directory.codewords(db.file, lambda label: (label.holder, label.remainder))
 
 
 def decode_removal(
@@ -277,28 +227,46 @@ def decode_removal(
     return directory.packet_bits(label), acc[:true_len]
 
 
+def _check_decoding(db: Database, directory: BinDirectoryRemoval, codewords: list[Codeword]) -> None:
+    """Raise ``DecodeVerificationError`` unless every recipient recovers its
+    packet from bits it stores: every box it cancels is empty or holds bits
+    of one support set it stores, and every payload is its row's XOR."""
+    rows = directory.rows
+    sets = directory.box_set[rows]
+    place = db.placement
+    held = np.stack([place.support_membership(n) for n in place.nodes])
+    recipient = np.searchsorted(place.nodes, directory.box_targets[rows])
+    filled = np.diff(directory.offsets)[rows] > 0
+    cancels = filled[:, None, :] & ~np.eye(rows.shape[1], dtype=bool)  # recipient i, box j
+    stored = (sets >= 0)[:, None, :] & held[recipient[:, :, None], sets[:, None, :]]
+    bad = np.argwhere(cancels & ~stored)
+    if bad.size:
+        row, i, j = bad[0]
+        raise DecodeVerificationError(
+            f"node {place.nodes[recipient[row, i]]} cannot cancel box "
+            f"{directory.labels[rows[row, j]]}: bits outside its store or in mixed sets"
+        )
+    payload, starts = directory.row_xors(db.file)
+    if [cw.payload_bits for cw in codewords] != np.diff(starts).tolist() or not np.array_equal(
+        np.concatenate([cw.payload for cw in codewords]), payload
+    ):
+        raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
+
+
 def apply_removal_rebalance(
     db: Database, removed_node: int, rng: RngSpec
 ) -> tuple[Database, list[Codeword]]:
     """Run the full removal protocol and commit the new placement.
 
-    Bins, encodes, decodes at every recipient (verifying each recovered
-    value against the file), then atomically rewrites storage: each
-    affected bit keeps its surviving holders and gains its box's target,
-    every other bit is untouched, and the removed node vanishes from the
-    node universe. Returns the new database and the broadcast schedule.
+    Bins, encodes, checks that every recipient decodes its packet from bits
+    it stores, then atomically rewrites storage: each affected bit keeps its
+    surviving holders and gains its box's target, every other bit is
+    untouched, and the removed node vanishes from the node universe. Returns
+    the new database and the broadcast schedule.
     """
     directory = bin_removal(db, removed_node, rng)
     codewords = encode_removal(db, directory)
-
-    for cw in codewords:
-        for label, _ in cw.constituents:
-            _, recovered = decode_removal(label.target, cw, db, directory)
-            if not np.array_equal(recovered, directory.packet_values(label, db.file)):
-                raise DecodeVerificationError(
-                    f"packet for node {label.target} (holder {label.holder}, "
-                    f"context {label.remainder}) decoded incorrectly"
-                )
+    _check_decoding(db, directory, codewords)
 
     # An affected bit's new set is its box's class minus the target, taken
     # out of the survivors; the box's holder does not change it.

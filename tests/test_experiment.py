@@ -1,11 +1,20 @@
 """Experiment harness, serialization, CLI, and walkthrough output."""
 
 import json
+from math import comb
 
 import pytest
 
-from coded_rebalance import ConfigError, ExperimentConfig, emit_results, run_experiment
+from coded_rebalance import (
+    ConfigError,
+    ExperimentConfig,
+    cli,
+    emit_results,
+    experiment,
+    run_experiment,
+)
 from coded_rebalance.cli import format_walkthrough, main
+from coded_rebalance.experiment import MAX_ENUMERATED
 
 
 def remove_config(**overrides):
@@ -94,6 +103,40 @@ def test_trials_default_by_event():
 def test_config_validation_rejects(overrides):
     with pytest.raises(ConfigError):
         remove_config(**overrides).validate()
+
+
+@pytest.mark.parametrize(
+    "K,r,event,support,keys",
+    [
+        (30, 5, "remove", comb(30, 5), comb(29, 4) * 25 * 4),
+        (32, 6, "remove", comb(32, 6), comb(31, 5) * 26 * 5),
+        (16, 5, "add", comb(17, 5), comb(16, 5) * 5),
+        (24, 10, "add", comb(25, 10), comb(24, 10) * 10),
+        (60, 30, "add", comb(61, 30), comb(60, 30) * 30),
+    ],
+)
+def test_config_validation_bounds_support_sets_and_box_keys(K, r, event, support, keys):
+    config = ExperimentConfig(num_nodes=K, replication=r, event=event,
+                              removed_node=K if event == "remove" else None)
+    if max(support, keys) <= MAX_ENUMERATED:
+        config.validate()
+    else:
+        with pytest.raises(ConfigError, match=f"{support} support sets and {keys} box keys"):
+            config.validate()
+
+
+def test_cli_rejects_a_configuration_too_large_to_enumerate(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a too-large configuration reached a database build")
+
+    monkeypatch.setattr(cli, "build_database", refuse)
+    monkeypatch.setattr(experiment, "build_database", refuse)
+    monkeypatch.setattr(experiment, "full_support", refuse)
+    for event in ("remove:1", "add"):  # C(60, 30) ~ 1.2e17 support sets
+        argv = ["--nodes", "60", "--replication", "30", "--event", event]
+        assert main(argv) == 2
+        assert main([*argv, "--walkthrough"]) == 2
+        assert "support sets" in capsys.readouterr().err
 
 
 def test_walkthrough_removal_schedule():

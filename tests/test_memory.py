@@ -31,6 +31,14 @@ def test_build_database_keeps_at_most_2_bytes_per_bit(traced):
     assert kept <= 2 * F + FIXED
 
 
+def test_build_database_peaks_at_most_2_bytes_per_bit(traced):
+    # the set index is drawn a chunk at a time straight into its uint8 array
+    db = build_database(6, 3, F, RngSpec(1))
+    _, peak = tracemalloc.get_traced_memory()
+    assert db.num_bits == F
+    assert peak <= 2 * F + FIXED
+
+
 def test_bin_removal_peaks_at_most_22_bytes_per_affected_bit(traced):
     db = build_database(6, 3, F, RngSpec(1))
     tracemalloc.reset_peak()

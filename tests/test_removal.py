@@ -30,7 +30,7 @@ from coded_rebalance import (
 from coded_rebalance import removal
 from coded_rebalance.database import CHUNK
 from coded_rebalance.removal import boxes_for_class
-from coded_rebalance.rng import STREAM_REMOVAL_BINNING
+from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
 
 
 def test_box_set_for_one_class():
@@ -176,28 +176,20 @@ def test_decode_rejects_non_recipient():
             decode_removal(node, cw, db, directory)
 
 
-def test_decode_rejects_side_information_the_node_does_not_store():
-    db = build_database(6, 3, 9000, RngSpec(14))
-    directory = bin_removal(db, 6, RngSpec(14))
-    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
-    # node 1 cancels the packet to node 4; leak into it a bit node 1 lacks
+def leak_a_bit_node_1_lacks(db, directory):
+    """The directory with one bit of box (4, (2, 3), 5), which node 1
+    cancels, swapped for a bit node 1 does not store."""
     cancelled = directory.packet_bits(RemovalBoxLabel(4, (2, 3), 5))
     lacked = np.setdiff1d(np.arange(db.num_bits), node_contents(db, 1))[0]
     box_bits = directory.box_bits.copy()
     box_bits[np.flatnonzero(box_bits == cancelled[0])] = lacked
-    tampered = replace(directory, box_bits=box_bits)
-    decode_removal(1, cw, db, directory)
-    with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
-        decode_removal(1, cw, db, tampered)
+    return replace(directory, box_bits=box_bits)
 
 
-def test_decode_rejects_a_cancelled_box_that_mixes_support_sets():
-    db = build_database(6, 3, 9000, RngSpec(13))
+def mix_in_a_bit_of_another_set(db, directory):
+    """The directory with one bit of box (4, (2, 3), 5), whose bits all lie
+    in {1, 5, 6}, swapped for a bit node 1 stores in another set."""
     place = db.placement
-    directory = bin_removal(db, 6, RngSpec(13))
-    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
-    # node 1 cancels the packet to node 4, whose bits all lie in {1, 5, 6};
-    # swap one of them for a bit node 1 stores in another set
     cancelled = directory.packet_bits(RemovalBoxLabel(4, (2, 3), 5))
     assert {place.node_set(int(b)) for b in cancelled} == {(1, 5, 6)}
     stored = node_contents(db, 1)
@@ -205,10 +197,45 @@ def test_decode_rejects_a_cancelled_box_that_mixes_support_sets():
     assert 1 in place.node_set(int(elsewhere))
     box_bits = directory.box_bits.copy()
     box_bits[np.flatnonzero(box_bits == cancelled[0])] = elsewhere
-    tampered = replace(directory, box_bits=box_bits)
+    return replace(directory, box_bits=box_bits)
+
+
+def test_decode_rejects_side_information_the_node_does_not_store():
+    db = build_database(6, 3, 9000, RngSpec(14))
+    directory = bin_removal(db, 6, RngSpec(14))
+    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
+    # node 1 cancels the packet to node 4; leak into it a bit node 1 lacks
+    tampered = leak_a_bit_node_1_lacks(db, directory)
     decode_removal(1, cw, db, directory)
     with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
         decode_removal(1, cw, db, tampered)
+
+
+def test_decode_rejects_a_cancelled_box_that_mixes_support_sets():
+    db = build_database(6, 3, 9000, RngSpec(13))
+    directory = bin_removal(db, 6, RngSpec(13))
+    cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
+    # node 1 cancels the packet to node 4; swap one of its bits for a bit
+    # node 1 stores in another set
+    tampered = mix_in_a_bit_of_another_set(db, directory)
+    decode_removal(1, cw, db, directory)
+    with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
+        decode_removal(1, cw, db, tampered)
+
+
+@pytest.mark.parametrize("tamper", [leak_a_bit_node_1_lacks, mix_in_a_bit_of_another_set])
+def test_a_tampered_directory_fails_apply_and_leaves_database_unchanged(monkeypatch, tamper):
+    db = build_database(6, 3, 9000, RngSpec(14))
+    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+    honest_bin = removal.bin_removal
+    monkeypatch.setattr(
+        removal, "bin_removal", lambda db_, node, rng: tamper(db_, honest_bin(db_, node, rng))
+    )
+    with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
+        apply_removal_rebalance(db, 6, RngSpec(14))
+    assert db.nodes == (1, 2, 3, 4, 5, 6)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.values, values)
 
 
 def per_box_sets(directory):
@@ -256,22 +283,31 @@ def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
         decode_removal(1, cw, db, tampered)
 
 
+def flip_a_payload_bit(codewords):
+    next(c for c in codewords if c.payload_bits).payload[0] ^= 1
+    return codewords
+
+
+def truncate_a_payload(codewords):
+    i = next(i for i, c in enumerate(codewords) if c.payload_bits)
+    codewords[i] = replace(codewords[i], payload=codewords[i].payload[:-1])
+    return codewords
+
+
 def test_flipped_payload_bit_fails_apply_and_leaves_database_unchanged(monkeypatch):
-    db = build_database(6, 3, 6000, RngSpec(41))
-    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
     honest_encode = removal.encode_removal
-
-    def flipping_encode(db_, directory):
-        codewords = honest_encode(db_, directory)
-        next(c for c in codewords if c.payload_bits).payload[0] ^= 1
-        return codewords
-
-    monkeypatch.setattr(removal, "encode_removal", flipping_encode)
-    with pytest.raises(DecodeVerificationError):
-        apply_removal_rebalance(db, 6, RngSpec(41))
-    assert db.nodes == (1, 2, 3, 4, 5, 6)
-    assert np.array_equal(db.placement.set_index, set_index)
-    assert np.array_equal(db.file.values, values)
+    for corrupt in (flip_a_payload_bit, truncate_a_payload):
+        db = build_database(6, 3, 6000, RngSpec(41))
+        set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+        monkeypatch.setattr(
+            removal, "encode_removal",
+            lambda db_, directory, corrupt=corrupt: corrupt(honest_encode(db_, directory)),
+        )
+        with pytest.raises(DecodeVerificationError):
+            apply_removal_rebalance(db, 6, RngSpec(41))
+        assert db.nodes == (1, 2, 3, 4, 5, 6)
+        assert np.array_equal(db.placement.set_index, set_index)
+        assert np.array_equal(db.file.values, values)
 
 
 def test_zero_length_codewords_are_recorded():
@@ -426,6 +462,23 @@ def test_a_removal_draw_split_at_chunk_boundaries_equals_one_whole_draw():
         gen = RngSpec(9).generator(STREAM_REMOVAL_BINNING)
         split = [gen.integers(0, bound, size=min(CHUNK, size - s)) for s in range(0, size, CHUNK)]
         assert np.array_equal(np.concatenate(split), whole), bound
+
+
+def test_a_placement_draw_split_at_chunk_boundaries_equals_one_whole_draw():
+    # build_database draws the set index as int32 CHUNK at a time, then the
+    # uint8 values; a bound of 1.5e9 rejects about 30% of its raw draws
+    for bound in (20, 3003, 65_536, 1_500_000_000):
+        for size in (7, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+            gen = RngSpec(9).generator(STREAM_PLACEMENT)
+            whole = gen.integers(0, bound, size=size, dtype=np.int32)
+            values = gen.integers(0, 2, size=size, dtype=np.uint8)
+            gen = RngSpec(9).generator(STREAM_PLACEMENT)
+            split = [
+                gen.integers(0, bound, size=min(CHUNK, size - s), dtype=np.int32)
+                for s in range(0, size, CHUNK)
+            ]
+            assert np.array_equal(np.concatenate(split), whole), (bound, size)
+            assert np.array_equal(gen.integers(0, 2, size=size, dtype=np.uint8), values)
 
 
 def test_commit_rejects_a_box_set_outside_the_new_support():

@@ -1,0 +1,102 @@
+"""Both protocols' schedules against straight-line references.
+
+The references walk the schedule the way the paper states it, one
+codeword at a time, and find each packet from the bits' box keys alone:
+removal sends, for every context (a (K-r-1)-subset of the survivors) and
+every sender outside it, the XOR of the sender's packets for the other
+members; addition ships, for every sender and every (K-r)-subset of the
+other nodes, that class's move packet.
+"""
+
+from itertools import combinations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from coded_rebalance import (
+    AdditionBoxLabel,
+    RemovalBoxLabel,
+    RngSpec,
+    bin_addition,
+    bin_removal,
+    build_database,
+    decode_removal,
+    encode_addition,
+    encode_removal,
+)
+
+
+def fields(codewords):
+    return [(cw.sender, cw.group, cw.constituents, cw.payload.tobytes()) for cw in codewords]
+
+
+def reference_removal(db, directory):
+    r, survivors = db.replication, directory.survivors
+    schedule = []
+    for ctx in combinations(survivors, len(db.nodes) - r - 1):
+        members = [n for n in survivors if n not in ctx]
+        for sender in members:
+            constituents, packets = [], []
+            for target in members:
+                if target == sender:
+                    continue
+                cls = tuple(sorted((target, *ctx)))
+                holders = [n for n in survivors if n not in cls]
+                key = (directory.classes.index(cls) * len(cls) + cls.index(target)) * (r - 1)
+                key += holders.index(sender)
+                packet = db.file.values[directory.bits[directory.keys == key]]
+                constituents.append((RemovalBoxLabel(target, ctx, sender), packet.size))
+                packets.append(packet)
+            payload = np.zeros(max(p.size for p in packets), dtype=np.uint8)
+            for packet in packets:
+                payload[: packet.size] ^= packet
+            schedule.append((sender, ctx, tuple(constituents), payload.tobytes()))
+    return schedule
+
+
+def reference_addition(db, directory):
+    r = db.replication
+    schedule = []
+    for sender in db.nodes:
+        rest = [n for n in db.nodes if n != sender]
+        for cls in combinations(rest, len(db.nodes) - r):
+            s = directory.classes.index(cls)
+            key = s * r + db.placement.support[s].index(sender)
+            payload = db.file.values[directory.bits[directory.keys == key]]
+            label = AdditionBoxLabel(cls, sender)
+            schedule.append((sender, cls, ((label, payload.size),), payload.tobytes()))
+    return schedule
+
+
+instances = st.tuples(
+    st.integers(min_value=3, max_value=8),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances)
+def test_removal_schedule_equals_the_reference_and_decodes(instance):
+    K, F, seed = instance
+    for r in range(2, K):
+        db = build_database(K, r, F, RngSpec(seed))
+        for removed in db.nodes:
+            directory = bin_removal(db, removed, RngSpec(seed))
+            codewords = encode_removal(db, directory)
+            assert fields(codewords) == reference_removal(db, directory)
+            for cw in codewords:
+                for label, _ in cw.constituents:
+                    bits, values = decode_removal(label.target, cw, db, directory)
+                    assert np.array_equal(bits, directory.packet_bits(label))
+                    assert np.array_equal(values, db.file.values[bits])
+
+
+@settings(max_examples=20, deadline=None)
+@given(instances)
+def test_addition_schedule_equals_the_reference(instance):
+    K, F, seed = instance
+    for r in range(1, K + 1):
+        db = build_database(K, r, F, RngSpec(seed))
+        directory = bin_addition(db, RngSpec(seed))
+        assert fields(encode_addition(db, directory)) == reference_addition(db, directory)
