@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .codeword import BoxDirectory, Codeword, group_bits
-from .database import Database, NodeSet
+from .database import CHUNK, Database, NodeSet, index_dtype
 from .exceptions import ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
 
@@ -97,15 +97,31 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
         raise ReplicationOutOfRange(f"addition needs 1 <= replication <= {num_nodes}")
 
     classes = tuple(tuple(sorted(set(nodes) - set(s))) for s in place.support)
+    # One whole int16 draw: chunked int16 draws differ from it, as numpy
+    # buffers 16-bit draws within a call.
     codes = rng.generator(STREAM_ADDITION_BINNING).integers(
         0, num_nodes + 1, size=place.num_bits, dtype=np.int16
-    )
+    ).astype(index_dtype(num_nodes))
 
-    moving = np.flatnonzero(codes < r)
     num_keys = len(place.support) * r
     key_dtype = np.min_scalar_type(max(num_keys - 1, 0))
-    # Cast before the multiply: a narrow set index times r would wrap.
-    keys = place.set_index[moving].astype(key_dtype) * r + codes[moving].astype(key_dtype)
+    num_moving = sum(
+        np.count_nonzero(codes[start : start + CHUNK] < r)
+        for start in range(0, place.num_bits, CHUNK)
+    )
+    moving = np.empty(num_moving, dtype=index_dtype(place.num_bits - 1))
+    keys = np.empty(num_moving, dtype=key_dtype)
+    filled = 0
+    for start in range(0, place.num_bits, CHUNK):
+        chunk = codes[start : start + CHUNK]
+        hits = np.flatnonzero(chunk < r)
+        part = slice(filled, filled + hits.size)
+        np.add(hits, start, out=moving[part], casting="unsafe")
+        # Cast before the multiply: a narrow set index times r would wrap.
+        keys[part] = place.set_index[start : start + CHUNK][hits]
+        keys[part] *= r
+        keys[part] += chunk[hits]
+        filled = part.stop
     box_bits, offsets = group_bits(moving, keys, num_keys)
 
     return BinDirectoryAddition(

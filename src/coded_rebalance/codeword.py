@@ -16,6 +16,7 @@ from .database import (
     PlacementMap,
     count_keys,
     full_support,
+    gather,
     index_dtype,
 )
 from .exceptions import DirectoryMismatch, InvalidLabel, RebalanceError
@@ -48,10 +49,14 @@ def group_bits(bits: np.ndarray, keys: np.ndarray, num_keys: int) -> tuple[np.nd
     ``box_bits[offsets[k]:offsets[k + 1]]``. Sorts ``key << shift | bit`` in
     uint32 or uint64, ``shift`` being the largest bit's bit length, so the
     packing is exact; the bits are distinct, so the unstable sort gives the
-    stable order. ``ValueError`` for a key out of range or a pair over 64 bits.
+    stable order. ``box_bits`` is that sorted buffer with the keys masked
+    off, in ``index_dtype`` of the largest bit (cast only when the packed
+    word is wider). ``ValueError`` for a key out of range or a pair over 64
+    bits.
     """
     offsets = np.concatenate(([0], np.cumsum(count_keys(keys, num_keys))))
-    shift = int(bits[-1]).bit_length() if bits.size else 0
+    largest = int(bits[-1]) if bits.size else 0
+    shift = largest.bit_length()
     width = shift + max(num_keys - 1, 0).bit_length()
     if width > 64:
         raise ValueError(f"a (key, bit) pair needs {width} bits, more than 64")
@@ -60,7 +65,7 @@ def group_bits(bits: np.ndarray, keys: np.ndarray, num_keys: int) -> tuple[np.nd
     np.bitwise_or(packed, bits, out=packed, dtype=packed.dtype, casting="unsafe")
     packed.sort()
     packed &= (1 << shift) - 1
-    return packed.astype(np.intp), offsets
+    return packed.astype(index_dtype(largest), copy=False), offsets
 
 
 @dataclass
@@ -70,7 +75,9 @@ class BoxDirectory:
     ``placement`` is the placement the bits were binned from. ``bits`` holds
     the bits that took a box, ascending, and ``keys`` their box keys;
     ``box_bits`` holds the same bits grouped by key, with box ``k`` at
-    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order.
+    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order. Both bit
+    arrays are narrow (no wider than ``index_dtype`` of the last file bit);
+    ``packet_bits`` returns intp.
 
     Two facts about the boxes are derived once, on first use: ``box_set``,
     the support set each box's bits share, and ``box_values``, the file's
@@ -113,7 +120,7 @@ class BoxDirectory:
     def packet_bits(self, label) -> np.ndarray:
         """Ascending bit indices of one box (possibly empty); ``InvalidLabel``
         if the label names no box of this directory."""
-        return self.box_bits[self.span(self.key_of(label))]
+        return self.box_bits[self.span(self.key_of(label))].astype(np.intp)
 
     @cached_property
     def box_set(self) -> np.ndarray:
@@ -126,7 +133,7 @@ class BoxDirectory:
         # Gathered a chunk of box_bits at a time; a box that straddles a
         # chunk boundary takes the min and max of its pieces.
         for begin in range(0, self.box_bits.size, CHUNK):
-            sets = self.placement.set_index[self.box_bits[begin : begin + CHUNK]]
+            sets = np.take(self.placement.set_index, self.box_bits[begin : begin + CHUNK])
             first = np.searchsorted(starts, begin, side="right") - 1
             boxes = np.arange(first, np.searchsorted(starts, begin + sets.size))
             pieces = np.maximum(starts[boxes] - begin, 0)
@@ -143,7 +150,7 @@ class BoxDirectory:
         ``box_values(file)[offsets[k]:offsets[k + 1]]``. Gathered once and
         kept for the last file asked about."""
         if self._values is None or self._values[0] is not file:
-            values = file.values[self.box_bits]
+            values = gather(file.values, self.box_bits)
             values.flags.writeable = False
             self._values = (file, values)
         return self._values[1]
@@ -205,7 +212,7 @@ class BoxDirectory:
         dtype = index_dtype(unmapped)
         stay_table = np.array([lookup.get(s, unmapped) for s in place.support], dtype=dtype)
         box_table = np.array([lookup.get(s, unmapped) for s in box_sets], dtype=dtype)
-        new_index = stay_table[place.set_index]
+        new_index = gather(stay_table, place.set_index)
         for start in range(0, self.bits.size, CHUNK):
             part = slice(start, start + CHUNK)
             new_index[self.bits[part]] = box_table[self.keys[part]]

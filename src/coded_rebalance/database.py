@@ -22,8 +22,9 @@ from .rng import STREAM_PLACEMENT, RngSpec
 NodeSet = tuple[int, ...]
 
 # Entries per pass of the loops that walk an F-sized array in chunks, so
-# each pass's temporaries (such as ``np.bincount``'s intp copy of its input)
-# stay small instead of costing another F-sized array.
+# each pass's temporaries (such as the intp copy of its input that
+# ``np.bincount`` or ``np.take`` makes) stay small instead of costing
+# another F-sized array.
 CHUNK = 1 << 16
 
 
@@ -32,9 +33,23 @@ def full_support(nodes: Iterable[int], replication: int) -> tuple[NodeSet, ...]:
     return tuple(combinations(sorted(nodes), replication))
 
 
-def index_dtype(num_sets: int) -> np.dtype:
-    """The narrowest dtype holding 0..num_sets: uint8 to 255 sets, uint16 to 65 535."""
-    return np.min_scalar_type(num_sets)
+def index_dtype(largest: int) -> np.dtype:
+    """The narrowest unsigned dtype holding 0..largest: uint8 to 255, uint16
+    to 65 535, uint32 to 2**32 - 1. Set indices, bit indices and codes use it."""
+    return np.min_scalar_type(largest)
+
+
+def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]``, taken a chunk of ``index`` at a time.
+
+    For a narrow ``index`` this makes no intp copy of the whole index, and
+    ``np.take`` into the output is faster than one fancy index.
+    """
+    out = np.empty(index.shape, dtype=table.dtype)
+    for start in range(0, index.size, CHUNK):
+        part = slice(start, start + CHUNK)
+        np.take(table, index[part], out=out[part])
+    return out
 
 
 def count_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
@@ -232,7 +247,7 @@ def node_contents(db: Database, node: int) -> np.ndarray:
     if node not in db.placement.nodes:
         raise UnknownNode(f"node {node} is not part of this database")
     mask = db.placement.support_membership(node)
-    return np.flatnonzero(mask[db.placement.set_index])
+    return np.flatnonzero(gather(mask, db.placement.set_index))
 
 
 def node_storage_counts(db: Database) -> dict[int, int]:
@@ -262,7 +277,7 @@ def verify_r_balanced(db: Database, tolerance: float = 0.01) -> BalanceReport:
     wrong_size &= place.set_counts() > 0
     offending = ()
     if wrong_size.any():
-        offending = tuple(int(i) for i in np.flatnonzero(wrong_size[place.set_index]))
+        offending = tuple(int(i) for i in np.flatnonzero(gather(wrong_size, place.set_index)))
 
     loads = node_storage_counts(db)
     expected = place.replication * db.num_bits / len(place.nodes)

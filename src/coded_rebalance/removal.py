@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .codeword import BoxDirectory, Codeword, group_bits
-from .database import CHUNK, Database, NodeSet
+from .database import CHUNK, Database, NodeSet, index_dtype
 from .exceptions import DecodeVerificationError, NotARecipient, ReplicationOutOfRange, UnknownNode
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
 
@@ -145,7 +145,6 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     boxes_per_class = (num_nodes - r) * (r - 1)
 
     member = place.support_membership(removed_node)
-    affected = np.flatnonzero(member[place.set_index])
     classes = tuple(
         tuple(n for n in nodes if n not in place.support[s]) for s in np.flatnonzero(member)
     )
@@ -155,11 +154,22 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     # removed node are never read.
     class_base = ((np.cumsum(member) - 1) * boxes_per_class).astype(key_dtype)
 
-    keys = class_base[place.set_index[affected]]
-    # Bounded int64 draws consume the stream value by value: chunks draw the same codes.
+    # One file chunk at a time: its affected bits, their class bases, and
+    # their codes. Bounded int64 draws consume the stream value by value, so
+    # drawing per chunk gives the codes of one whole draw.
+    num_affected = int(place.set_counts()[member].sum())
+    affected = np.empty(num_affected, dtype=index_dtype(place.num_bits - 1))
+    keys = np.empty(affected.size, dtype=key_dtype)
     gen = rng.generator(STREAM_REMOVAL_BINNING)
-    for part in np.split(keys, range(CHUNK, keys.size, CHUNK)):
-        part += gen.integers(0, boxes_per_class, size=part.size).astype(key_dtype)
+    filled = 0
+    for start in range(0, place.num_bits, CHUNK):
+        sets = place.set_index[start : start + CHUNK]
+        hits = np.flatnonzero(np.take(member, sets))
+        part = slice(filled, filled + hits.size)
+        np.add(hits, start, out=affected[part], casting="unsafe")
+        np.take(class_base, sets[hits], out=keys[part])
+        keys[part] += gen.integers(0, boxes_per_class, size=hits.size).astype(key_dtype)
+        filled = part.stop
     box_bits, offsets = group_bits(affected, keys, num_keys)
 
     return BinDirectoryRemoval(

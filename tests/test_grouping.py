@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coded_rebalance import RngSpec, bin_removal, build_database, node_contents
+from coded_rebalance import (
+    RngSpec,
+    bin_addition,
+    bin_removal,
+    build_database,
+    decode_removal,
+    encode_removal,
+    exclusive_group,
+    node_contents,
+)
 from coded_rebalance.codeword import group_bits
-from coded_rebalance.database import CHUNK, count_keys
+from coded_rebalance.database import CHUNK, count_keys, gather
 from coded_rebalance.removal import boxes_for_class
-from coded_rebalance.rng import STREAM_REMOVAL_BINNING
+from coded_rebalance.rng import STREAM_ADDITION_BINNING, STREAM_REMOVAL_BINNING
 
 # Key spaces on both sides of 8- and 16-bit key dtypes.
 DENSE_KEY_SPACES = (1, 2, 255, 256, 2**16, 2**16 + 1, 3 * 2**16 + 5)
@@ -34,9 +43,14 @@ def grouped(draw, packed_widths):
     return bits, np.array(keys, dtype=dtype), num_keys
 
 
+def narrowest_unsigned(largest):
+    return next(np.dtype(d) for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if largest <= np.iinfo(d).max)
+
+
 def assert_grouped(bits, keys, num_keys):
     box_bits, offsets = group_bits(bits, keys, num_keys)
-    assert box_bits.dtype == np.intp
+    assert box_bits.dtype == narrowest_unsigned(int(bits.max(initial=0)))
     assert np.array_equal(box_bits, bits[np.argsort(keys, kind="stable")])
     counts = np.bincount(keys.astype(np.int64), minlength=num_keys)
     assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
@@ -69,8 +83,98 @@ def test_group_bits_rejects_pairs_wider_than_64_bits():
 @pytest.mark.parametrize("num_keys", [0, 1, 2**16, 2**16 + 1])
 def test_empty_input_gives_empty_boxes(num_keys):
     box_bits, offsets = group_bits(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8), num_keys)
-    assert box_bits.size == 0 and box_bits.dtype == np.intp
+    assert box_bits.size == 0 and box_bits.dtype == np.uint8
     assert np.array_equal(offsets, np.zeros(num_keys + 1))
+
+
+@pytest.mark.parametrize("largest,num_keys,word,dtype", [
+    (99_999, 60_060, 33, np.uint32),  # remove-many-sets: a uint64 word, uint32 bits
+    (65_535, 65_536, 32, np.uint16),  # a uint32 word, uint16 bits
+    (65_536, 65_536, 33, np.uint32),
+    (2**24 - 1, 60, 30, np.uint32),  # remove-wide: a uint32 word, uint32 bits
+    (2**32, 2, 34, np.uint64),
+])
+def test_packed_words_on_both_sides_of_32_bits_narrow_to_the_largest_bit(
+    largest, num_keys, word, dtype
+):
+    assert largest.bit_length() + (num_keys - 1).bit_length() == word
+    rng = np.random.default_rng(largest)
+    below = rng.choice(min(largest, 10**6), size=5000, replace=False)
+    bits = np.append(np.sort(below), largest).astype(narrowest_unsigned(largest))
+    keys = rng.integers(0, num_keys, size=bits.size).astype(np.min_scalar_type(num_keys - 1))
+    box_bits, offsets = group_bits(bits, keys, num_keys)
+    assert box_bits.dtype == dtype
+    assert np.array_equal(box_bits, bits[np.argsort(keys, kind="stable")])
+    counts = np.bincount(keys, minlength=num_keys)
+    assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+
+
+@pytest.mark.parametrize("F,dtype", [(256, np.uint8), (2**16, np.uint16), (2**16 + 1, np.uint32)])
+def test_directory_bits_are_stored_in_the_narrowest_dtype_of_the_last_bit(F, dtype):
+    db = build_database(6, 3, F, RngSpec(7))
+    # a removed node that stores bit F-1, so it is the largest grouped bit
+    removal = bin_removal(db, db.placement.node_set(F - 1)[0], RngSpec(7))
+    assert removal.bits[-1] == F - 1
+    assert removal.bits.dtype == removal.box_bits.dtype == dtype
+    addition = bin_addition(db, RngSpec(7))
+    assert addition.bits.dtype == dtype
+    assert addition.box_bits.dtype.itemsize <= np.dtype(dtype).itemsize
+    assert addition.codes.dtype == np.uint8
+
+
+def test_public_bit_indices_stay_intp():
+    db = build_database(6, 3, 2000, RngSpec(3))
+    directory = bin_removal(db, 6, RngSpec(3))
+    assert directory.box_bits.dtype == np.uint16
+    codeword = next(cw for cw in encode_removal(db, directory) if cw.payload_bits)
+    label = codeword.constituents[0][0]
+    assert directory.packet_bits(label).dtype == np.intp
+    bits, _ = decode_removal(label.target, codeword, db, directory)
+    assert bits.dtype == np.intp and bits.size
+    assert node_contents(db, 6).dtype == np.intp
+    assert exclusive_group(db, (4, 5, 6)).dtype == np.intp
+
+
+@pytest.mark.parametrize("F", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("dtype,size", [(bool, 7), (np.uint8, 200), (np.uint16, 300)])
+def test_gather_equals_the_whole_array_fancy_index(F, dtype, size):
+    rng = np.random.default_rng(F)
+    table = rng.integers(0, 2 if dtype is bool else np.iinfo(dtype).max, size=size).astype(dtype)
+    index = rng.integers(0, size, size=F).astype(np.min_scalar_type(size - 1))
+    out = gather(table, index)
+    assert out.dtype == table.dtype
+    assert np.array_equal(out, table[index])
+
+
+def test_bin_removal_across_file_chunks_equals_one_whole_draw():
+    # K=7, r=3: 15 of 35 support sets hold node 7, 8 boxes per class
+    K, r, k, F, seed = 7, 3, 7, 3 * CHUNK + 5, 8
+    db = build_database(K, r, F, RngSpec(seed))
+    directory = bin_removal(db, k, RngSpec(seed))
+    member = db.placement.support_membership(k)
+    affected = np.flatnonzero(member[db.placement.set_index])
+    codes = RngSpec(seed).generator(STREAM_REMOVAL_BINNING).integers(
+        0, (K - r) * (r - 1), size=affected.size
+    )
+    keys = (np.cumsum(member) - 1)[db.placement.set_index[affected]] * (K - r) * (r - 1) + codes
+    assert np.array_equal(directory.bits, affected)
+    assert np.array_equal(directory.keys, keys)
+    assert np.array_equal(directory.box_bits, affected[np.argsort(keys, kind="stable")])
+
+
+def test_bin_addition_across_file_chunks_equals_one_whole_draw():
+    K, r, F, seed = 5, 2, 3 * CHUNK + 5, 8
+    db = build_database(K, r, F, RngSpec(seed))
+    directory = bin_addition(db, RngSpec(seed))
+    codes = RngSpec(seed).generator(STREAM_ADDITION_BINNING).integers(
+        0, K + 1, size=F, dtype=np.int16
+    )
+    moving = np.flatnonzero(codes < r)
+    keys = db.placement.set_index[moving].astype(np.int64) * r + codes[moving]
+    assert np.array_equal(directory.codes, codes)
+    assert np.array_equal(directory.bits, moving)
+    assert np.array_equal(directory.keys, keys)
+    assert np.array_equal(directory.box_bits, moving[np.argsort(keys, kind="stable")])
 
 
 def test_key_outside_the_key_space_is_rejected():

@@ -5,7 +5,14 @@ import tracemalloc
 
 import pytest
 
-from coded_rebalance import RngSpec, bin_removal, build_database
+from coded_rebalance import (
+    RngSpec,
+    apply_addition_rebalance,
+    apply_removal_rebalance,
+    bin_addition,
+    bin_removal,
+    build_database,
+)
 
 F = 10**6
 # Room for the fixed-size part of a call: support tuples, the directory
@@ -39,10 +46,36 @@ def test_build_database_peaks_at_most_2_bytes_per_bit(traced):
     assert peak <= 2 * F + FIXED
 
 
-def test_bin_removal_peaks_at_most_22_bytes_per_affected_bit(traced):
-    db = build_database(6, 3, F, RngSpec(1))
+def peak_above_start(call):
+    """What ``call()`` returns and the traced peak above the call's start."""
     tracemalloc.reset_peak()
     start, _ = tracemalloc.get_traced_memory()
-    directory = bin_removal(db, 6, RngSpec(1))
+    out = call()
     _, peak = tracemalloc.get_traced_memory()
-    assert peak - start <= 22 * len(directory) + FIXED
+    return out, peak - start
+
+
+def test_bin_removal_peaks_at_most_10_bytes_per_affected_bit(traced):
+    # uint32 bits, uint8 keys and the uint32 packed buffer that becomes box_bits
+    db = build_database(6, 3, F, RngSpec(1))
+    directory, peak = peak_above_start(lambda: bin_removal(db, 6, RngSpec(1)))
+    assert peak <= 10 * len(directory) + FIXED
+
+
+def test_apply_removal_rebalance_peaks_at_most_7_5_bytes_per_bit(traced):
+    db = build_database(6, 3, F, RngSpec(1))
+    _, peak = peak_above_start(lambda: apply_removal_rebalance(db, 6, RngSpec(1)))
+    assert peak <= 7.5 * F + FIXED
+
+
+def test_bin_addition_peaks_at_most_6_5_bytes_per_bit(traced):
+    # codes drawn as int16 and kept as uint8; the moving bits in uint32
+    db = build_database(4, 2, F, RngSpec(1))
+    _, peak = peak_above_start(lambda: bin_addition(db, RngSpec(1)))
+    assert peak <= 6.5 * F + FIXED
+
+
+def test_apply_addition_rebalance_peaks_at_most_7_5_bytes_per_bit(traced):
+    db = build_database(4, 2, F, RngSpec(1))
+    _, peak = peak_above_start(lambda: apply_addition_rebalance(db, RngSpec(1)))
+    assert peak <= 7.5 * F + FIXED

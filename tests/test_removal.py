@@ -455,7 +455,7 @@ def test_bin_removal_parameter_errors():
 
 
 def test_a_removal_draw_split_at_chunk_boundaries_equals_one_whole_draw():
-    # bin_removal draws its codes CHUNK at a time
+    # bin_removal draws its codes in pieces, one per file chunk
     size = 3 * CHUNK + 5
     for bound in range(1, 13):
         whole = RngSpec(9).generator(STREAM_REMOVAL_BINNING).integers(0, bound, size=size)
