@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .addition import bin_addition, encode_addition
@@ -12,6 +13,36 @@ from .exceptions import ConfigError, RebalanceError
 from .experiment import EVENT_ADD, EVENT_REMOVE, ExperimentConfig, emit_results, run_experiment
 from .removal import bin_removal, encode_removal
 from .rng import RngSpec
+
+
+# glibc's mallopt parameter numbers (malloc.h), and the size below which an
+# allocation stays on the heap and a freed heap top stays mapped.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_KEPT_BYTES = 1 << 30
+
+
+@functools.cache
+def _keep_heap() -> bool:
+    """Keep freed memory mapped for the rest of the process, once per process.
+
+    A trial frees its F-sized arrays when it ends. By default glibc hands
+    allocations above its mmap threshold, and a freed heap top above its
+    trim threshold, back to the kernel, so the next trial page-faults the
+    same memory in again. Raising both thresholds keeps it. Best effort:
+    returns False where libc has no ``mallopt`` or refuses a value. Only
+    the command line calls this; library callers keep their allocator's
+    defaults.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, _HEAP_KEPT_BYTES) for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
 
 
 def _parse_event(text: str) -> tuple[str, int | None]:
@@ -116,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 
+    _keep_heap()
     try:
         if args.walkthrough:
             document = format_walkthrough(config)

@@ -21,6 +21,9 @@ from .database import (
 )
 from .exceptions import DirectoryMismatch, InvalidLabel, RebalanceError
 
+# How many schedule rows `BoxDirectory.codewords` turns into Python ints at a time.
+ROW_SLICE = 1 << 10
+
 
 @dataclass(frozen=True)
 class Codeword:
@@ -173,14 +176,20 @@ class BoxDirectory:
     ) -> list[Codeword]:
         """One codeword per row: the row's XOR, with each box's label and
         true length. ``head`` gives a row's sender and group from its first
-        label. Payloads are views into one buffer."""
+        label. Payloads are views into one buffer. Rows become Python ints
+        ``ROW_SLICE`` rows at a time, not all at once beside the records."""
         payload, starts = self.row_xors(file)
-        sizes, labels, bounds = np.diff(self.offsets).tolist(), self.labels, starts.tolist()
-        return [
-            Codeword(*head(labels[row[0]]), payload[begin:end],
-                     tuple((labels[k], sizes[k]) for k in row))
-            for row, begin, end in zip(self.rows.tolist(), bounds, bounds[1:])
-        ]
+        sizes, labels = np.diff(self.offsets).tolist(), self.labels
+        records = []
+        for first in range(0, len(self.rows), ROW_SLICE):
+            rows = self.rows[first : first + ROW_SLICE].tolist()
+            bounds = starts[first : first + len(rows) + 1].tolist()
+            records += [
+                Codeword(*head(labels[row[0]]), payload[begin:end],
+                         tuple((labels[k], sizes[k]) for k in row))
+                for row, begin, end in zip(rows, bounds, bounds[1:])
+            ]
+        return records
 
     def check_placement(self, db: Database) -> None:
         """Raise ``DirectoryMismatch`` unless ``db`` has the placement binned from.

@@ -12,6 +12,7 @@ from coded_rebalance import (
     bin_addition,
     bin_removal,
     build_database,
+    encode_removal,
 )
 
 F = 10**6
@@ -79,3 +80,18 @@ def test_apply_addition_rebalance_peaks_at_most_7_5_bytes_per_bit(traced):
     db = build_database(4, 2, F, RngSpec(1))
     _, peak = peak_above_start(lambda: apply_addition_rebalance(db, RngSpec(1)))
     assert peak <= 7.5 * F + FIXED
+
+
+def test_encode_removal_peaks_at_most_16_bytes_per_box_key_above_what_it_keeps(traced):
+    # K=20, r=5: 232 560 box keys in 58 140 codewords. The records and labels
+    # stay; the rows become Python ints a slice at a time, not all at once
+    # beside the records (78 bytes per key above what is kept when they did).
+    db = build_database(20, 5, 10**5, RngSpec(1))
+    directory = bin_removal(db, 20, RngSpec(1))
+    tracemalloc.reset_peak()
+    start, _ = tracemalloc.get_traced_memory()
+    codewords = encode_removal(db, directory)
+    kept, peak = tracemalloc.get_traced_memory()
+    assert len(codewords) == 58_140
+    assert peak - kept <= 16 * (directory.offsets.size - 1) + FIXED
+    assert kept - start > 20 * 10**6  # what is kept is most of the peak

@@ -27,7 +27,7 @@ from coded_rebalance import (
     exclusive_group,
     node_contents,
 )
-from coded_rebalance import removal
+from coded_rebalance import codeword, removal
 from coded_rebalance.database import CHUNK
 from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
@@ -479,6 +479,17 @@ def test_a_placement_draw_split_at_chunk_boundaries_equals_one_whole_draw():
             ]
             assert np.array_equal(np.concatenate(split), whole), (bound, size)
             assert np.array_equal(gen.integers(0, 2, size=size, dtype=np.uint8), values)
+
+
+@pytest.mark.parametrize("row_slice", [1, 7])
+def test_records_built_a_slice_of_rows_at_a_time_equal_one_slice(monkeypatch, row_slice):
+    # 30 rows at K=6, r=3: slices of 7 leave a short last one
+    db = build_database(6, 3, 3000, RngSpec(2))
+    directory = bin_removal(db, 6, RngSpec(2))
+    key = lambda cw: (cw.sender, cw.group, cw.constituents, cw.payload.tobytes())
+    whole = list(map(key, encode_removal(db, directory)))
+    monkeypatch.setattr(codeword, "ROW_SLICE", row_slice)
+    assert list(map(key, encode_removal(db, directory))) == whole
 
 
 def test_commit_rejects_a_box_set_outside_the_new_support():
