@@ -19,7 +19,14 @@ from .rng import RngSpec
 # allocation stays on the heap and a freed heap top stays mapped.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _HEAP_KEPT_BYTES = 1 << 30
+# In order; the first refused setting ends the list.
+_MALLOPT_SETTINGS = (
+    (_M_MMAP_THRESHOLD, _HEAP_KEPT_BYTES),
+    (_M_TRIM_THRESHOLD, _HEAP_KEPT_BYTES),
+    (_M_ARENA_MAX, 1),
+)
 
 
 @functools.cache
@@ -29,10 +36,12 @@ def _keep_heap() -> bool:
     A trial frees its F-sized arrays when it ends. By default glibc hands
     allocations above its mmap threshold, and a freed heap top above its
     trim threshold, back to the kernel, so the next trial page-faults the
-    same memory in again. Raising both thresholds keeps it. Best effort:
-    returns False where libc has no ``mallopt`` or refuses a value. Only
-    the command line calls this; library callers keep their allocator's
-    defaults.
+    same memory in again. Raising both thresholds keeps it. A removal
+    trial also runs work on a second thread, which glibc would give an
+    arena of its own, mapped beside the main heap; one arena keeps its
+    allocations in the memory already kept. Best effort: returns False
+    where libc has no ``mallopt`` or refuses a value. Only the command line
+    calls this; library callers keep their allocator's defaults.
     """
     import ctypes
 
@@ -42,7 +51,7 @@ def _keep_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return all(mallopt(param, _HEAP_KEPT_BYTES) for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+    return all(mallopt(param, value) for param, value in _MALLOPT_SETTINGS)
 
 
 def _parse_event(text: str) -> tuple[str, int | None]:

@@ -158,15 +158,16 @@ class BoxDirectory:
             self._values = (file, values)
         return self._values[1]
 
-    def row_xors(self, file: FileInstance) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's packets XORed, zero-padded to the row's longest, laid
-        end to end in one buffer; and the offsets of the rows in it."""
-        sizes = np.diff(self.offsets)[self.rows]
+    def row_xors(self, file: FileInstance, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For a block of the schedule's ``rows``: each row's packets XORed,
+        zero-padded to the row's longest, laid end to end in one buffer; and
+        the offsets of the rows in it."""
+        sizes = np.diff(self.offsets)[rows]
         starts = np.concatenate(([0], np.cumsum(sizes.max(axis=1))))
-        out = np.zeros(starts[-1], dtype=np.uint8)
         values = self.box_values(file)
+        out = np.zeros(starts[-1], dtype=np.uint8)
         row, col = np.nonzero(sizes)  # the non-empty boxes, row by row
-        begins, lengths = self.offsets[self.rows[row, col]], sizes[row, col]
+        begins, lengths = self.offsets[rows[row, col]], sizes[row, col]
         for start, begin, size in zip(starts[row].tolist(), begins.tolist(), lengths.tolist()):
             out[start : start + size] ^= values[begin : begin + size]
         return out, starts
@@ -178,7 +179,7 @@ class BoxDirectory:
         true length. ``head`` gives a row's sender and group from its first
         label. Payloads are views into one buffer. Rows become Python ints
         ``ROW_SLICE`` rows at a time, not all at once beside the records."""
-        payload, starts = self.row_xors(file)
+        payload, starts = self.row_xors(file, self.rows)
         sizes, labels = np.diff(self.offsets).tolist(), self.labels
         records = []
         for first in range(0, len(self.rows), ROW_SLICE):

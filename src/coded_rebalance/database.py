@@ -10,9 +10,10 @@ into the file's value array.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .exceptions import InvalidParameters, UnknownNode
 from .rng import STREAM_PLACEMENT, RngSpec
 
 NodeSet = tuple[int, ...]
+T = TypeVar("T")
 
 # Entries per pass of the loops that walk an F-sized array in chunks, so
 # each pass's temporaries (such as the intp copy of its input that
@@ -50,6 +52,37 @@ def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
         part = slice(start, start + CHUNK)
         np.take(table, index[part], out=out[part])
     return out
+
+
+def in_background(fn: Callable[[], T]) -> Callable[[], T]:
+    """Start ``fn()`` on a second thread and return a callable that joins it.
+
+    The callable waits for the thread, then returns ``fn``'s result or
+    raises the exception ``fn`` raised. Call it exactly once, also on a
+    path that raises, so no thread outlives its caller; nothing the thread
+    raises reaches ``threading.excepthook``. The overlap pays where both
+    threads spend their time in numpy calls that release the interpreter
+    lock.
+    """
+    outcome: list[tuple[bool, object]] = []
+
+    def run() -> None:
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:  # re-raised by the joining thread
+            outcome.append((False, exc))
+
+    thread = threading.Thread(target=run, name="coded-rebalance-background")
+    thread.start()
+
+    def join() -> T:
+        thread.join()
+        ok, value = outcome.pop()
+        if not ok:
+            raise value
+        return value
+
+    return join
 
 
 def count_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:

@@ -18,7 +18,8 @@ broadcasts instead of raw copies:
 
 Storage is rewritten only after the whole schedule has been checked to
 decode at every recipient from bits it stores, so no partially rebalanced
-state is ever observable.
+state is ever observable. The new placement may be built on a second
+thread while the check runs; it is discarded unless the check passes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .codeword import BoxDirectory, Codeword, group_bits
-from .database import CHUNK, Database, NodeSet, index_dtype
+from .database import CHUNK, Database, NodeSet, PlacementMap, in_background, index_dtype
 from .exceptions import DecodeVerificationError, NotARecipient, ReplicationOutOfRange, UnknownNode
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
 
@@ -154,13 +155,22 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     # removed node are never read.
     class_base = ((np.cumsum(member) - 1) * boxes_per_class).astype(key_dtype)
 
-    # One file chunk at a time: its affected bits, their class bases, and
-    # their codes. Bounded int64 draws consume the stream value by value, so
-    # drawing per chunk gives the codes of one whole draw.
     num_affected = int(place.set_counts()[member].sum())
     affected = np.empty(num_affected, dtype=index_dtype(place.num_bits - 1))
     keys = np.empty(affected.size, dtype=key_dtype)
     gen = rng.generator(STREAM_REMOVAL_BINNING)
+
+    def draw_codes() -> np.ndarray:
+        # Bounded int64 draws consume the stream value by value, so drawing
+        # a chunk at a time gives the codes of one whole draw.
+        codes = np.empty(num_affected, dtype=key_dtype)
+        for start in range(0, num_affected, CHUNK):
+            part = codes[start : start + CHUNK]
+            part[:] = gen.integers(0, boxes_per_class, size=part.size)
+        return codes
+
+    codes = in_background(draw_codes)
+    # Meanwhile, one file chunk at a time: its affected bits and their class bases.
     filled = 0
     for start in range(0, place.num_bits, CHUNK):
         sets = place.set_index[start : start + CHUNK]
@@ -168,8 +178,8 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
         part = slice(filled, filled + hits.size)
         np.add(hits, start, out=affected[part], casting="unsafe")
         np.take(class_base, sets[hits], out=keys[part])
-        keys[part] += gen.integers(0, boxes_per_class, size=hits.size).astype(key_dtype)
         filled = part.stop
+    keys += codes()  # the codes are freed here, before grouping
     box_bits, offsets = group_bits(affected, keys, num_keys)
 
     return BinDirectoryRemoval(
@@ -237,10 +247,10 @@ def decode_removal(
     return directory.packet_bits(label), acc[:true_len]
 
 
-def _check_decoding(db: Database, directory: BinDirectoryRemoval, codewords: list[Codeword]) -> None:
-    """Raise ``DecodeVerificationError`` unless every recipient recovers its
-    packet from bits it stores: every box it cancels is empty or holds bits
-    of one support set it stores, and every payload is its row's XOR."""
+def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
+    """Raise ``DecodeVerificationError`` unless every recipient cancels only
+    bits it stores: every box it cancels is empty or holds bits of one
+    support set it stores."""
     rows = directory.rows
     sets = directory.box_set[rows]
     place = db.placement
@@ -256,11 +266,23 @@ def _check_decoding(db: Database, directory: BinDirectoryRemoval, codewords: lis
             f"node {place.nodes[recipient[row, i]]} cannot cancel box "
             f"{directory.labels[rows[row, j]]}: bits outside its store or in mixed sets"
         )
-    payload, starts = directory.row_xors(db.file)
-    if [cw.payload_bits for cw in codewords] != np.diff(starts).tolist() or not np.array_equal(
-        np.concatenate([cw.payload for cw in codewords]), payload
-    ):
+
+
+def _check_payloads(db: Database, directory: BinDirectoryRemoval, codewords: list[Codeword]) -> None:
+    """Raise ``DecodeVerificationError`` unless every payload is its row's
+    XOR, so a recipient that cancels the rest is left with its packet."""
+    rows = directory.rows
+    lengths = np.diff(directory.offsets)[rows].max(axis=1)
+    if [cw.payload_bits for cw in codewords] != lengths.tolist():
         raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
+    # The XORs are recomputed a group of rows at a time, the rows whose
+    # payloads end in the same CHUNK of the schedule, so no second buffer of
+    # the whole schedule is made.
+    groups = np.flatnonzero(np.diff(np.cumsum(lengths) // CHUNK)) + 1
+    for first, stop in zip([0, *groups.tolist()], [*groups.tolist(), len(rows)]):
+        payload, _ = directory.row_xors(db.file, rows[first:stop])
+        if not np.array_equal(np.concatenate([cw.payload for cw in codewords[first:stop]]), payload):
+            raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
 
 
 def apply_removal_rebalance(
@@ -273,11 +295,13 @@ def apply_removal_rebalance(
     surviving holders and gains its box's target, every other bit is
     untouched, and the removed node vanishes from the node universe. Returns
     the new database and the broadcast schedule.
+
+    The new placement, with its set counts, is built on a second thread
+    while the schedule is encoded and checked. It is returned only if the
+    check passes; a failed check's ``DecodeVerificationError`` is raised
+    even when building the placement failed too.
     """
     directory = bin_removal(db, removed_node, rng)
-    codewords = encode_removal(db, directory)
-    _check_decoding(db, directory, codewords)
-
     # An affected bit's new set is its box's class minus the target, taken
     # out of the survivors; the box's holder does not change it.
     new_sets = [
@@ -286,4 +310,23 @@ def apply_removal_rebalance(
         for target in cls
     ]
     box_sets = [s for s in new_sets for _ in range(db.replication - 1)]
-    return Database(directory.commit(directory.survivors, box_sets), db.file), codewords
+
+    def build_placement() -> PlacementMap:
+        placement = directory.commit(directory.survivors, box_sets)
+        placement.set_counts()
+        return placement
+
+    new_placement = in_background(build_placement)
+    try:
+        # Cancellations are checked before encoding, so the check's gathers
+        # do not peak on top of the schedule's payloads.
+        _check_cancellations(db, directory)
+        codewords = encode_removal(db, directory)
+        _check_payloads(db, directory, codewords)
+    except BaseException:
+        try:
+            new_placement()
+        except Exception:
+            pass  # the check's error is the one reported
+        raise
+    return Database(new_placement(), db.file), codewords

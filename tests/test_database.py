@@ -1,6 +1,7 @@
 """Placement construction, query primitives, and balance validation."""
 
 import math
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +22,7 @@ from coded_rebalance import (
     node_storage_counts,
     verify_r_balanced,
 )
+from coded_rebalance.database import in_background
 from coded_rebalance.rng import STREAM_PLACEMENT
 
 
@@ -220,3 +222,30 @@ def test_set_counts_rejects_a_set_index_outside_the_support():
 def test_build_invalid_parameters(K, r, F):
     with pytest.raises(InvalidParameters):
         build_database(K, r, F, RngSpec(0))
+
+
+def test_in_background_runs_on_a_second_thread_and_hands_back_its_outcome(monkeypatch):
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    go = threading.Event()
+
+    def work():
+        assert go.wait(timeout=10)  # set by the caller after in_background returns
+        return threading.current_thread()
+
+    join = in_background(work)
+    go.set()
+    worker = join()
+    assert worker is not threading.current_thread()
+    assert not worker.is_alive()
+
+    error = KeyError("lost")
+
+    def fail():
+        raise error
+
+    join = in_background(fail)
+    with pytest.raises(KeyError) as raised:
+        join()
+    assert raised.value is error
+    assert escaped == []

@@ -1,6 +1,6 @@
 """rebalance-sim keeps freed memory mapped across a run's trials (glibc's
-``mallopt`` thresholds, set once per process), and runs unchanged where it
-cannot set them."""
+``mallopt`` thresholds and arena count, set once per process), and runs
+unchanged where it cannot set them."""
 
 import ctypes
 import os
@@ -44,21 +44,22 @@ def test_cli_output_is_unchanged_where_libc_cannot_be_loaded(monkeypatch, capsys
     assert cli._keep_heap() is False
 
 
-@pytest.mark.parametrize("accepted", [1, 0], ids=["accepted", "refused"])
+@pytest.mark.parametrize("refused", [None, 0, 2], ids=["accepted", "refused", "arena-refused"])
 def test_a_second_run_does_not_set_the_thresholds_again(monkeypatch, capsys,
-                                                        fresh_process_state, accepted):
+                                                        fresh_process_state, refused):
     calls = []
 
     def mallopt(param, value):
         calls.append((param, value))
-        return accepted
+        return int(len(calls) - 1 != refused)
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     for _ in range(2):
         assert cli.main(ADD_R2) == 0
         assert_golden_output(capsys)
-    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD unless the first was refused
-    assert calls == [(-3, 1 << 30), (-1, 1 << 30)][: 2 if accepted else 1]
+    assert cli._keep_heap() is (refused is None)
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, then M_ARENA_MAX; none after a refusal
+    assert calls == [(-3, 1 << 30), (-1, 1 << 30), (-8, 1)][: 3 if refused is None else refused + 1]
 
 
 # Runs the CLI twice in one process and prints the minor page faults per

@@ -1,6 +1,8 @@
 """Node-removal protocol: binning, encoding, decoding, and the commit."""
 
 import math
+import threading
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -27,7 +29,7 @@ from coded_rebalance import (
     exclusive_group,
     node_contents,
 )
-from coded_rebalance import codeword, removal
+from coded_rebalance import codeword, database, removal
 from coded_rebalance.database import CHUNK
 from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
@@ -310,6 +312,24 @@ def test_flipped_payload_bit_fails_apply_and_leaves_database_unchanged(monkeypat
         assert np.array_equal(db.file.values, values)
 
 
+@pytest.mark.parametrize("K,r,F", [(6, 3, 600_000), (4, 2, 10**6)])
+def test_a_flipped_bit_anywhere_in_the_schedule_fails_the_payload_check(K, r, F):
+    # The payloads span several CHUNKs and are checked a group of rows at a
+    # time: at K=6 many rows per group, at K=4 every row longer than a CHUNK.
+    db = build_database(K, r, F, RngSpec(44))
+    directory = bin_removal(db, K, RngSpec(44))
+    codewords = encode_removal(db, directory)
+    assert sum(cw.payload_bits for cw in codewords) > 2 * CHUNK
+    removal._check_payloads(db, directory, codewords)
+    for i, cw in enumerate(codewords):
+        for pos in (0, -1):
+            payload = cw.payload.copy()
+            payload[pos] ^= 1
+            flipped = [*codewords[:i], replace(cw, payload=payload), *codewords[i + 1 :]]
+            with pytest.raises(DecodeVerificationError):
+                removal._check_payloads(db, directory, flipped)
+
+
 def test_zero_length_codewords_are_recorded():
     # one bit cannot fill 30 codewords; empties still appear in the schedule
     db = build_database(6, 3, 1, RngSpec(5))
@@ -511,3 +531,87 @@ def test_commit_rejects_a_stay_set_that_lost_a_node():
     unbinned = replace(directory, bits=directory.bits[1:], keys=directory.keys[1:])
     with pytest.raises(RebalanceError):
         unbinned.commit(directory.survivors, box_sets)
+
+
+# apply_removal_rebalance builds the new placement on a second thread while
+# the main thread encodes and checks the schedule.
+
+
+def watch_threads(monkeypatch):
+    """A check that the threads alive now are the only ones alive, and that
+    no thread let an exception reach ``threading.excepthook`` meanwhile."""
+    before = set(threading.enumerate())
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+
+    def check():
+        assert set(threading.enumerate()) == before
+        assert escaped == []
+
+    return check
+
+
+def failing_commit(delay):
+    def commit(self, new_nodes, box_sets):
+        time.sleep(delay)
+        raise RebalanceError("the commit failed")
+
+    return commit
+
+
+@pytest.mark.parametrize("delay", [0, 0.05], ids=["commit-fails-first", "check-fails-first"])
+def test_a_failed_check_is_reported_over_a_failed_commit(monkeypatch, delay):
+    threads_after = watch_threads(monkeypatch)
+    db = build_database(6, 3, 6000, RngSpec(41))
+    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+    honest_encode = removal.encode_removal
+    monkeypatch.setattr(
+        removal, "encode_removal", lambda db_, directory: flip_a_payload_bit(honest_encode(db_, directory))
+    )
+    monkeypatch.setattr(removal.BinDirectoryRemoval, "commit", failing_commit(delay))
+    with pytest.raises(DecodeVerificationError):
+        apply_removal_rebalance(db, 6, RngSpec(41))
+    threads_after()
+    assert db.nodes == (1, 2, 3, 4, 5, 6)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.values, values)
+
+
+def test_a_failed_commit_reaches_the_caller(monkeypatch):
+    threads_after = watch_threads(monkeypatch)
+    db = build_database(6, 3, 6000, RngSpec(42))
+    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+    monkeypatch.setattr(removal.BinDirectoryRemoval, "commit", failing_commit(0))
+    with pytest.raises(RebalanceError, match="the commit failed"):
+        apply_removal_rebalance(db, 6, RngSpec(42))
+    threads_after()
+    assert db.nodes == (1, 2, 3, 4, 5, 6)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.values, values)
+
+
+def test_apply_equals_serial_bin_encode_and_commit(monkeypatch):
+    # F spans two whole chunks and part of a third
+    F = 2 * CHUNK + 4321
+    threads_after = watch_threads(monkeypatch)
+    db = build_database(6, 3, F, RngSpec(43))
+    new_db, codewords = apply_removal_rebalance(db, 6, RngSpec(43))
+    threads_after()
+    # the new placement's set counts were taken with it, on the second thread
+    with monkeypatch.context() as patch:
+        patch.setattr(database, "count_keys", None)
+        counts = new_db.placement.set_counts()
+
+    directory = bin_removal(db, 6, RngSpec(43))
+    serial = encode_removal(db, directory)
+    # a box's bits keep the survivors outside its remainder
+    box_sets = [tuple(n for n in directory.survivors if n not in label.remainder)
+                for label in directory.labels]
+    placement = directory.commit(directory.survivors, box_sets)
+    assert new_db.file is db.file
+    assert new_db.nodes == placement.nodes == (1, 2, 3, 4, 5)
+    assert new_db.placement.support == placement.support
+    assert np.array_equal(new_db.placement.set_index, placement.set_index)
+    assert np.array_equal(counts, np.bincount(placement.set_index, minlength=len(placement.support)))
+    key = lambda cw: (cw.sender, cw.group, cw.constituents, cw.payload.tobytes())
+    assert list(map(key, codewords)) == list(map(key, serial))
