@@ -31,6 +31,8 @@ from .database import (
     FileInstance,
     PlacementMap,
     build_database,
+    draw_file,
+    draw_placement,
     exclusive_group,
     full_support,
     node_contents,
@@ -105,6 +107,8 @@ __all__ = [
     "binomial_max_bound",
     "build_database",
     "decode_removal",
+    "draw_file",
+    "draw_placement",
     "emit_results",
     "encode_addition",
     "encode_removal",

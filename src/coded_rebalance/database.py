@@ -18,7 +18,7 @@ from typing import Callable, Iterable, TypeVar
 import numpy as np
 
 from .exceptions import InvalidParameters, UnknownNode
-from .rng import STREAM_PLACEMENT, RngSpec
+from .rng import STREAM_PLACEMENT, STREAM_VALUES, RngSpec
 
 NodeSet = tuple[int, ...]
 T = TypeVar("T")
@@ -225,20 +225,13 @@ class BalanceReport:
         return self.replication_ok and self.storage_ok
 
 
-def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec) -> Database:
-    """Construct a database by independent uniform placement.
+def draw_placement(num_nodes: int, replication: int, num_bits: int, rng: RngSpec) -> PlacementMap:
+    """Give each bit an independent, uniformly drawn storing set.
 
-    Each bit's storing set is drawn uniformly from all replication-sized
-    subsets of the ``num_nodes`` nodes (exactly uniform, via a uniform index
-    into the enumerated subsets, drawn as int32 a chunk at a time into
-    ``index_dtype``), and each bit's value is an independent fair coin.
-
-    Parameters
-    ----------
-    num_nodes : total nodes, ids 1..num_nodes
-    replication : storing nodes per bit
-    num_bits : file size in bits
-    rng : stream source; the placement phase is consumed
+    The set is drawn uniformly from all replication-sized subsets of the
+    ``num_nodes`` nodes (exactly uniform, via a uniform index into the
+    enumerated subsets, drawn as int32 a chunk at a time into
+    ``index_dtype``) on the placement stream of ``rng``.
     """
     if num_nodes < 1 or replication < 1 or replication > num_nodes:
         raise InvalidParameters(
@@ -254,9 +247,49 @@ def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
     # Bounded int32 draws consume the stream value by value: chunks draw the same indices.
     for part in np.split(set_index, range(CHUNK, num_bits, CHUNK)):
         part[:] = gen.integers(0, len(support), size=part.size, dtype=np.int32)
-    values = gen.integers(0, 2, size=num_bits, dtype=np.uint8)
-    placement = PlacementMap(nodes, replication, support, set_index)
-    return Database(placement, FileInstance(num_bits, values))
+    return PlacementMap(nodes, replication, support, set_index)
+
+
+def draw_file(num_bits: int, rng: RngSpec) -> FileInstance:
+    """A file of independent fair bits, drawn on the values stream of ``rng``.
+
+    The bits are those of ``np.unpackbits`` over ``gen.bytes(ceil(F / 8))``.
+    They are drawn a ``CHUNK`` at a time: ``gen.bytes`` consumes whole
+    uint32 draws, so CHUNK/8-byte draws give the bytes of one whole draw.
+    Each chunk is unpacked a sixteenth at a time: a CHUNK-sized temporary
+    beside the placement and the file would exceed ``build_database``'s
+    traced bound of 2 bytes per bit plus 64 KB.
+    """
+    if num_bits < 1:
+        raise InvalidParameters("num_bits must be at least 1")
+    gen = rng.generator(STREAM_VALUES)
+    values = np.empty(num_bits, dtype=np.uint8)
+    piece = CHUNK // 16  # bytes unpacked per pass
+    for start in range(0, num_bits, CHUNK):
+        part = values[start : start + CHUNK]
+        raw = np.frombuffer(gen.bytes(-(-part.size // 8)), dtype=np.uint8)
+        for first in range(0, raw.size, piece):
+            bits = part[8 * first : 8 * (first + piece)]
+            bits[:] = np.unpackbits(raw[first : first + piece], count=bits.size)
+    return FileInstance(num_bits, values)
+
+
+def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec) -> Database:
+    """Construct a database by independent uniform placement.
+
+    The placement is ``draw_placement``'s and the file ``draw_file``'s; the
+    two draw from streams of their own, so the file's values do not depend
+    on the placement.
+
+    Parameters
+    ----------
+    num_nodes : total nodes, ids 1..num_nodes
+    replication : storing nodes per bit
+    num_bits : file size in bits
+    rng : stream source; the placement and values phases are consumed
+    """
+    placement = draw_placement(num_nodes, replication, num_bits, rng)
+    return Database(placement, draw_file(num_bits, rng))
 
 
 def exclusive_group(db: Database, absent_nodes: Iterable[int]) -> np.ndarray:

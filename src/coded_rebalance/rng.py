@@ -4,8 +4,8 @@ Every random draw in the library flows through an :class:`RngSpec`. A spec
 names a stream by (master seed, optional trial index, phase label), and the
 same name always replays the same values, regardless of how many other
 streams were consumed in between. Placement draws therefore never share
-state with binning draws, and trials can run in any order or in parallel
-without changing results.
+state with binning draws or with the file's values, and trials can run in
+any order or in parallel without changing results.
 """
 
 from __future__ import annotations
@@ -19,11 +19,13 @@ from .exceptions import InvalidParameters
 STREAM_PLACEMENT = "placement"
 STREAM_REMOVAL_BINNING = "removal-binning"
 STREAM_ADDITION_BINNING = "addition-binning"
+STREAM_VALUES = "values"
 
 _STREAM_IDS = {
     STREAM_PLACEMENT: 0,
     STREAM_REMOVAL_BINNING: 1,
     STREAM_ADDITION_BINNING: 2,
+    STREAM_VALUES: 3,
 }
 
 

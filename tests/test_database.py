@@ -16,14 +16,16 @@ from coded_rebalance import (
     RngSpec,
     UnknownNode,
     build_database,
+    draw_file,
+    draw_placement,
     exclusive_group,
     full_support,
     node_contents,
     node_storage_counts,
     verify_r_balanced,
 )
-from coded_rebalance.database import in_background
-from coded_rebalance.rng import STREAM_PLACEMENT
+from coded_rebalance.database import CHUNK, in_background
+from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_VALUES
 
 
 def test_every_bit_replicated_three_times():
@@ -110,6 +112,41 @@ def test_build_determinism():
     assert np.array_equal(a.file.values, b.file.values)
     c = build_database(6, 3, 500, RngSpec(78))
     assert not np.array_equal(a.placement.set_index, c.placement.set_index)
+
+
+def test_build_database_is_draw_placement_and_draw_file():
+    db = build_database(6, 3, 5000, RngSpec(3, trial=2))
+    placement = draw_placement(6, 3, 5000, RngSpec(3, trial=2))
+    assert placement.support == db.placement.support
+    assert np.array_equal(placement.set_index, db.placement.set_index)
+    assert np.array_equal(draw_file(5000, RngSpec(3, trial=2)).values, db.file.values)
+
+
+def test_file_values_do_not_depend_on_the_placement():
+    a = build_database(6, 3, 3000, RngSpec(12))
+    b = build_database(4, 2, 3000, RngSpec(12))
+    assert np.array_equal(a.file.values, b.file.values)
+    assert not np.array_equal(a.file.values, build_database(6, 3, 3000, RngSpec(13)).file.values)
+
+
+@pytest.mark.parametrize("F", [1, 7, CHUNK, CHUNK + 3, 3 * CHUNK + 5, 3 * CHUNK + 8])
+def test_file_values_drawn_a_chunk_at_a_time_equal_one_whole_draw(F):
+    # the bits of one gen.bytes(ceil(F / 8)) call on the values stream
+    raw = RngSpec(6).generator(STREAM_VALUES).bytes(-(-F // 8))
+    whole = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=F)
+    assert np.array_equal(draw_file(F, RngSpec(6)).values, whole)
+
+
+def test_file_values_are_fair_bits():
+    values = draw_file(10**6, RngSpec(4)).values
+    assert set(np.unique(values)) == {0, 1}
+    assert abs(values.mean() - 0.5) <= 5 * 0.0005  # five sigma of a fair coin
+
+
+@pytest.mark.parametrize("F", [0, -3])
+def test_draw_file_rejects_an_empty_file(F):
+    with pytest.raises(InvalidParameters):
+        draw_file(F, RngSpec(0))
 
 
 def test_empirical_uniformity_over_support():

@@ -1,6 +1,9 @@
 """Experiment harness, serialization, CLI, and walkthrough output."""
 
 import json
+import threading
+import time
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -8,6 +11,9 @@ import pytest
 from coded_rebalance import (
     ConfigError,
     ExperimentConfig,
+    RebalanceError,
+    RngSpec,
+    build_database,
     cli,
     emit_results,
     experiment,
@@ -86,6 +92,133 @@ def test_trials_default_by_event():
     assert add.trials == 100
 
 
+def pipeline_config(event, trials):
+    if event == "remove":
+        return remove_config(num_bits=30_000, trials=trials)
+    return ExperimentConfig(num_nodes=4, replication=2, event="add", num_bits=30_000,
+                            trials=trials, master_seed=5)
+
+
+def serial_reference(config):
+    """The run with each trial's database built whole by build_database,
+    one trial after the other."""
+    support = config.expected_support()
+    trials = []
+    for t in range(config.trials):
+        spec = RngSpec(config.master_seed, trial=t)
+        db = build_database(config.num_nodes, config.replication, config.num_bits, spec)
+        trials.append(experiment._run_trial(config, spec, support, db, time.perf_counter()))
+    return experiment._aggregate(config, support, trials)
+
+
+@pytest.mark.parametrize("event", ["remove", "add"])
+@pytest.mark.parametrize("trials", [1, 2, 5])
+def test_pipelined_run_equals_a_serial_run(event, trials):
+    config = pipeline_config(event, trials)
+    result, reference = run_experiment(config), serial_reference(config)
+    for fmt in ("json", "csv"):
+        assert emit_results(result, fmt).encode() == emit_results(reference, fmt).encode()
+    untimed = lambda r: [replace(t, wall_time_s=0.0) for t in r.trials]
+    assert untimed(result) == untimed(reference)
+    assert all(t.wall_time_s > 0 for t in result.trials)
+
+
+def test_each_later_placement_is_drawn_on_another_thread(monkeypatch):
+    drawn_on = {}
+    draw = experiment.draw_placement
+
+    def recording(K, r, F, rng):
+        drawn_on[rng.trial] = threading.current_thread()
+        return draw(K, r, F, rng)
+
+    monkeypatch.setattr(experiment, "draw_placement", recording)
+    run_experiment(pipeline_config("add", 4))
+    assert sorted(drawn_on) == [0, 1, 2, 3]
+    assert drawn_on[0] is threading.current_thread()
+    assert all(drawn_on[t] is not threading.current_thread() for t in (1, 2, 3))
+    assert not any(drawn_on[t].is_alive() for t in (1, 2, 3))
+
+
+def test_wall_time_counts_the_wait_for_the_placement_drawn_ahead(monkeypatch):
+    draw = experiment.draw_placement
+
+    def slow(K, r, F, rng):
+        if rng.trial == 1:
+            time.sleep(0.3)
+        return draw(K, r, F, rng)
+
+    monkeypatch.setattr(experiment, "draw_placement", slow)
+    result = run_experiment(pipeline_config("add", 2))
+    assert result.trials[1].wall_time_s >= 0.3 - result.trials[0].wall_time_s
+
+
+@pytest.mark.parametrize("event", ["remove", "add"])
+def test_a_one_trial_run_starts_no_pipeline_thread(monkeypatch, event):
+    def refuse(fn):
+        raise AssertionError("a one-trial run started a thread")
+
+    monkeypatch.setattr(experiment, "in_background", refuse)
+    assert len(run_experiment(pipeline_config(event, 1)).trials) == 1
+
+
+@pytest.mark.parametrize("draw_ahead_fails", [False, True])
+def test_a_failed_trial_is_reported_after_the_placement_drawn_ahead_is_joined(
+    monkeypatch, draw_ahead_fails
+):
+    threads = set(threading.enumerate())
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    error = RebalanceError("trial 1 failed")
+    run_trial, draw = experiment._run_trial, experiment.draw_placement
+    started = []
+
+    def failing_trial(config, spec, *args):
+        started.append(spec.trial)
+        if spec.trial == 1:
+            raise error
+        return run_trial(config, spec, *args)
+
+    finished = []
+
+    def draw_ahead(K, r, F, rng):
+        if rng.trial == 2:
+            time.sleep(0.2)  # still drawing when trial 1 fails
+            finished.append(rng.trial)
+            if draw_ahead_fails:
+                raise MemoryError("the placement drawn ahead failed too")
+        return draw(K, r, F, rng)
+
+    monkeypatch.setattr(experiment, "_run_trial", failing_trial)
+    monkeypatch.setattr(experiment, "draw_placement", draw_ahead)
+    with pytest.raises(RebalanceError) as raised:
+        run_experiment(pipeline_config("remove", 3))
+    assert raised.value is error
+    assert finished == [2]  # joined before the error was reported
+    assert started == [0, 1]
+    assert set(threading.enumerate()) == threads
+    assert escaped == []
+
+
+def test_a_failed_draw_ahead_reaches_the_caller(monkeypatch):
+    threads = set(threading.enumerate())
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    error = MemoryError("no room for trial 2's placement")
+    draw = experiment.draw_placement
+
+    def draw_ahead(K, r, F, rng):
+        if rng.trial == 2:
+            raise error
+        return draw(K, r, F, rng)
+
+    monkeypatch.setattr(experiment, "draw_placement", draw_ahead)
+    with pytest.raises(MemoryError) as raised:
+        run_experiment(pipeline_config("add", 4))
+    assert raised.value is error
+    assert set(threading.enumerate()) == threads
+    assert escaped == []
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -130,7 +263,8 @@ def test_cli_rejects_a_configuration_too_large_to_enumerate(monkeypatch, capsys)
         raise AssertionError("a too-large configuration reached a database build")
 
     monkeypatch.setattr(cli, "build_database", refuse)
-    monkeypatch.setattr(experiment, "build_database", refuse)
+    monkeypatch.setattr(experiment, "draw_placement", refuse)
+    monkeypatch.setattr(experiment, "draw_file", refuse)
     monkeypatch.setattr(experiment, "full_support", refuse)
     for event in ("remove:1", "add"):  # C(60, 30) ~ 1.2e17 support sets
         argv = ["--nodes", "60", "--replication", "30", "--event", event]

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from coded_rebalance import (
+    ExperimentConfig,
     RngSpec,
     apply_addition_rebalance,
     apply_removal_rebalance,
@@ -13,6 +14,7 @@ from coded_rebalance import (
     bin_removal,
     build_database,
     encode_removal,
+    run_experiment,
 )
 
 F = 10**6
@@ -54,6 +56,21 @@ def peak_above_start(call):
     out = call()
     _, peak = tracemalloc.get_traced_memory()
     return out, peak - start
+
+
+def test_run_experiment_draws_at_most_one_placement_ahead(traced):
+    # While a trial runs, the next trial's uint8 set index is drawn: 1 byte
+    # per bit above a one-trial run. Addition trials run on one thread, so a
+    # trial's own peak does not vary with how threads interleave.
+    def config(trials):
+        return ExperimentConfig(num_nodes=6, replication=3, event="add", num_bits=F,
+                                trials=trials, master_seed=1)
+
+    run_experiment(ExperimentConfig(num_nodes=6, replication=3, event="add",
+                                    num_bits=1000, trials=2))  # first-call caches
+    _, one = peak_above_start(lambda: run_experiment(config(1)))
+    _, three = peak_above_start(lambda: run_experiment(config(3)))
+    assert three <= one + F + FIXED
 
 
 def test_bin_removal_peaks_at_most_10_bytes_per_affected_bit(traced):

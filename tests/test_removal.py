@@ -485,20 +485,19 @@ def test_a_removal_draw_split_at_chunk_boundaries_equals_one_whole_draw():
 
 
 def test_a_placement_draw_split_at_chunk_boundaries_equals_one_whole_draw():
-    # build_database draws the set index as int32 CHUNK at a time, then the
-    # uint8 values; a bound of 1.5e9 rejects about 30% of its raw draws
+    # draw_placement draws the set index as int32 CHUNK at a time; a bound of
+    # 1.5e9 rejects about 30% of its raw draws. The file's values come from a
+    # stream of their own (tests/test_database.py checks their chunked draw).
     for bound in (20, 3003, 65_536, 1_500_000_000):
         for size in (7, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
             gen = RngSpec(9).generator(STREAM_PLACEMENT)
             whole = gen.integers(0, bound, size=size, dtype=np.int32)
-            values = gen.integers(0, 2, size=size, dtype=np.uint8)
             gen = RngSpec(9).generator(STREAM_PLACEMENT)
             split = [
                 gen.integers(0, bound, size=min(CHUNK, size - s), dtype=np.int32)
                 for s in range(0, size, CHUNK)
             ]
             assert np.array_equal(np.concatenate(split), whole), (bound, size)
-            assert np.array_equal(gen.integers(0, 2, size=size, dtype=np.uint8), values)
 
 
 @pytest.mark.parametrize("row_slice", [1, 7])
