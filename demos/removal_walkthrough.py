@@ -60,7 +60,7 @@ for node in (1, 4):
 print()
 print("STEP 4: commit -- every affected bit gains its box target")
 new_db, _ = apply_removal_rebalance(db, REMOVED, spec)
-sample = int(directory.bits[0])
+sample = int(directory.box_bits.min())
 print(f"bit {sample}: stored at {db.placement.node_set(sample)} before, "
       f"{new_db.placement.node_set(sample)} after")
 sizes = {len(s) for s in new_db.placement.support}

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_bits
+from .codeword import BoxDirectory, Codeword, group_bits, packing
 from .database import CHUNK, Database, NodeSet, index_dtype
 from .exceptions import ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
@@ -45,7 +45,7 @@ class BinDirectoryAddition(BoxDirectory):
 
     ``codes`` holds each bit's draw: below r it names the holder, by its
     position in the bit's stored set, that ships the bit; r and above mean
-    stay. ``bits`` holds the moving bits; move boxes are numbered by key
+    stay. The moving bits are binned; move boxes are numbered by key
     ``set * r + code``.
     """
 
@@ -86,8 +86,8 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     """Assign every bit one of K+1 codes, uniformly.
 
     Draws are independent across bits and consumed in ascending bit order;
-    ``group_bits`` then groups the moving bits by box key. The new
-    node's id is one past the current largest.
+    ``group_bits`` then sorts the moving bits, packed with their box keys,
+    into boxes. The new node's id is one past the current largest.
     """
     place = db.placement
     nodes = place.nodes
@@ -104,30 +104,28 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     ).astype(index_dtype(num_nodes))
 
     num_keys = len(place.support) * r
-    key_dtype = np.min_scalar_type(max(num_keys - 1, 0))
+    shift, word = packing(place.num_bits, num_keys)
     num_moving = sum(
         np.count_nonzero(codes[start : start + CHUNK] < r)
         for start in range(0, place.num_bits, CHUNK)
     )
-    moving = np.empty(num_moving, dtype=index_dtype(place.num_bits - 1))
-    keys = np.empty(num_moving, dtype=key_dtype)
+    words = np.empty(num_moving, dtype=word)
     filled = 0
     for start in range(0, place.num_bits, CHUNK):
         chunk = codes[start : start + CHUNK]
         hits = np.flatnonzero(chunk < r)
-        part = slice(filled, filled + hits.size)
-        np.add(hits, start, out=moving[part], casting="unsafe")
+        part = words[filled : filled + hits.size]
         # Cast before the multiply: a narrow set index times r would wrap.
-        keys[part] = place.set_index[start : start + CHUNK][hits]
-        keys[part] *= r
-        keys[part] += chunk[hits]
-        filled = part.stop
-    box_bits, offsets = group_bits(moving, keys, num_keys)
+        part[:] = place.set_index[start : start + CHUNK][hits]
+        part *= r
+        part += chunk[hits]
+        part <<= shift
+        np.bitwise_or(part, hits + start, out=part, dtype=word, casting="unsafe")
+        filled += hits.size
+    box_bits, offsets = group_bits(words, shift, num_keys)
 
     return BinDirectoryAddition(
         placement=place,
-        bits=moving,
-        keys=keys,
         box_bits=box_bits,
         offsets=offsets,
         new_node=max(nodes) + 1,

@@ -14,7 +14,6 @@ from .database import (
     FileInstance,
     NodeSet,
     PlacementMap,
-    count_keys,
     full_support,
     gather,
     index_dtype,
@@ -45,42 +44,47 @@ class Codeword:
         return int(self.payload.size)
 
 
-def group_bits(bits: np.ndarray, keys: np.ndarray, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group ascending bits by integer key in [0, num_keys), in CSR form.
-
-    Returns ``(box_bits, offsets)``: the bits with key ``k``, ascending, are
-    ``box_bits[offsets[k]:offsets[k + 1]]``. Sorts ``key << shift | bit`` in
-    uint32 or uint64, ``shift`` being the largest bit's bit length, so the
-    packing is exact; the bits are distinct, so the unstable sort gives the
-    stable order. ``box_bits`` is that sorted buffer with the keys masked
-    off, in ``index_dtype`` of the largest bit (cast only when the packed
-    word is wider). ``ValueError`` for a key out of range or a pair over 64
-    bits.
-    """
-    offsets = np.concatenate(([0], np.cumsum(count_keys(keys, num_keys))))
-    largest = int(bits[-1]) if bits.size else 0
-    shift = largest.bit_length()
+def packing(num_bits: int, num_keys: int) -> tuple[int, np.dtype]:
+    """``(shift, dtype)`` of the word ``key << shift | bit`` for bits below
+    ``num_bits`` and keys below ``num_keys``: uint32 when it fits, else
+    uint64. ``ValueError`` for a pair over 64 bits."""
+    shift = max(num_bits - 1, 0).bit_length()
     width = shift + max(num_keys - 1, 0).bit_length()
     if width > 64:
         raise ValueError(f"a (key, bit) pair needs {width} bits, more than 64")
-    packed = keys.astype(np.uint32 if width <= 32 else np.uint64)
-    packed <<= shift
-    np.bitwise_or(packed, bits, out=packed, dtype=packed.dtype, casting="unsafe")
-    packed.sort()
-    packed &= (1 << shift) - 1
-    return packed.astype(index_dtype(largest), copy=False), offsets
+    return shift, np.dtype(np.uint32 if width <= 32 else np.uint64)
+
+
+def group_bits(words: np.ndarray, shift: int, num_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group distinct bits by key in [0, num_keys), in CSR form, in place.
+
+    ``words`` holds ``key << shift | bit`` per bit, as ``packing`` says, and
+    is sorted in place. Returns ``(box_bits, offsets)``: the bits with key
+    ``k``, ascending, are ``box_bits[offsets[k]:offsets[k + 1]]``; each
+    offset is a binary search for the key's first word. ``box_bits`` is the
+    sorted words with the keys masked off, in ``index_dtype`` of the
+    largest ``shift``-bit number (a copy only when that is narrower than
+    the word). ``ValueError`` for a key out of range.
+    """
+    words.sort()
+    if words.size and int(words[-1]) >> shift >= num_keys:
+        raise ValueError(f"keys must lie in [0, {num_keys})")
+    offsets = np.full(num_keys + 1, words.size, dtype=np.int64)
+    offsets[0] = 0
+    offsets[1:num_keys] = np.searchsorted(words, np.arange(1, num_keys, dtype=words.dtype) << shift)
+    words &= (1 << shift) - 1
+    return words.astype(index_dtype((1 << shift) - 1), copy=False), offsets
 
 
 @dataclass
 class BoxDirectory:
     """Bits binned into integer-keyed boxes: the layout both protocols share.
 
-    ``placement`` is the placement the bits were binned from. ``bits`` holds
-    the bits that took a box, ascending, and ``keys`` their box keys;
-    ``box_bits`` holds the same bits grouped by key, with box ``k`` at
-    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order. Both bit
-    arrays are narrow (no wider than ``index_dtype`` of the last file bit);
-    ``packet_bits`` returns intp.
+    ``placement`` is the placement the bits were binned from. ``box_bits``
+    holds the bits that took a box, grouped by key, with box ``k`` at
+    ``box_bits[offsets[k]:offsets[k + 1]]`` in ascending bit order. It is
+    the one per-bit array kept, narrow (``index_dtype`` of the last file
+    bit); ``packet_bits`` returns intp.
 
     Two facts about the boxes are derived once, on first use: ``box_set``,
     the support set each box's bits share, and ``box_values``, the file's
@@ -92,8 +96,6 @@ class BoxDirectory:
     """
 
     placement: PlacementMap = field(repr=False)
-    bits: np.ndarray = field(repr=False)
-    keys: np.ndarray = field(repr=False)
     box_bits: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     _values: tuple[FileInstance, np.ndarray] | None = field(
@@ -223,9 +225,13 @@ class BoxDirectory:
         stay_table = np.array([lookup.get(s, unmapped) for s in place.support], dtype=dtype)
         box_table = np.array([lookup.get(s, unmapped) for s in box_sets], dtype=dtype)
         new_index = gather(stay_table, place.set_index)
-        for start in range(0, self.bits.size, CHUNK):
-            part = slice(start, start + CHUNK)
-            new_index[self.bits[part]] = box_table[self.keys[part]]
+        for begin in range(0, self.box_bits.size, CHUNK):
+            bits = self.box_bits[begin : begin + CHUNK]
+            # In box order: boxes first..last-1 overlap this chunk, by these many bits.
+            first = np.searchsorted(self.offsets, begin, side="right") - 1
+            last = np.searchsorted(self.offsets, begin + bits.size)
+            sizes = np.diff(np.clip(self.offsets[first : last + 1], begin, begin + bits.size))
+            new_index[bits] = np.repeat(box_table[first:last], sizes)
         if new_index.max(initial=0) >= unmapped:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
         return PlacementMap(new_nodes, place.replication, new_support, new_index)

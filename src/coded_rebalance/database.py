@@ -54,15 +54,15 @@ def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def in_background(fn: Callable[[], T]) -> Callable[[], T]:
+def in_background(fn: Callable[[], T]) -> Callable[..., T]:
     """Start ``fn()`` on a second thread and return a callable that joins it.
 
     The callable waits for the thread, then returns ``fn``'s result or
-    raises the exception ``fn`` raised. Call it exactly once, also on a
-    path that raises, so no thread outlives its caller; nothing the thread
-    raises reaches ``threading.excepthook``. The overlap pays where both
-    threads spend their time in numpy calls that release the interpreter
-    lock.
+    raises the exception ``fn`` raised; ``drop=True`` discards either, for
+    a path that is already raising. Call it exactly once, also on such a
+    path, so no thread outlives its caller; nothing the thread raises
+    reaches ``threading.excepthook``. The overlap pays where both threads
+    spend their time in numpy calls that release the interpreter lock.
     """
     outcome: list[tuple[bool, object]] = []
 
@@ -75,10 +75,10 @@ def in_background(fn: Callable[[], T]) -> Callable[[], T]:
     thread = threading.Thread(target=run, name="coded-rebalance-background")
     thread.start()
 
-    def join() -> T:
+    def join(drop: bool = False) -> T:
         thread.join()
         ok, value = outcome.pop()
-        if not ok:
+        if not ok and not drop:
             raise value
         return value
 

@@ -243,10 +243,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             trials.append(_run_trial(config, spec, support, db, started))
         except BaseException:
             if pending:
-                try:
-                    pending()
-                except Exception:
-                    pass  # trial t's error is the one reported
+                pending(drop=True)  # trial t's error is the one reported
             raise
     return _aggregate(config, support, trials)
 

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_bits
+from .codeword import BoxDirectory, Codeword, group_bits, packing
 from .database import CHUNK, Database, NodeSet, PlacementMap, in_background, index_dtype
 from .exceptions import DecodeVerificationError, NotARecipient, ReplicationOutOfRange, UnknownNode
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
@@ -69,9 +69,9 @@ class BinDirectoryRemoval(BoxDirectory):
     so XOR packets align position for position and true lengths are known
     for unpadding. It is never charged to the communication load.
 
-    ``bits`` is the removed node's store. Boxes are numbered by an integer
-    key: class ordinal times the (K-r)(r-1) boxes per class, plus the box's
-    position in ``boxes_for_class``.
+    The binned bits are the removed node's store. Boxes are numbered by an
+    integer key: class ordinal times the (K-r)(r-1) boxes per class, plus
+    the box's position in ``boxes_for_class``.
     """
 
     removed_node: int
@@ -79,17 +79,12 @@ class BinDirectoryRemoval(BoxDirectory):
     classes: tuple[NodeSet, ...]
 
     def __len__(self) -> int:
-        return int(self.bits.size)
+        return int(self.box_bits.size)
 
     @cached_property
     def box_targets(self) -> np.ndarray:
         """The survivor each box's bits move to, by key."""
         return np.repeat(np.asarray(self.classes).ravel(), self.placement.replication - 1)
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """The survivor each bit of ``bits`` moves to."""
-        return self.box_targets[self.keys]
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -108,11 +103,12 @@ class BinDirectoryRemoval(BoxDirectory):
         return np.lexsort((self.box_targets, holders[c, h], *context)).reshape(-1, r - 1)
 
     def label_of(self, bit: int) -> RemovalBoxLabel:
-        """The box assigned to one bit of the removed node's store."""
-        pos = int(np.searchsorted(self.bits, bit))
-        if pos == self.bits.size or int(self.bits[pos]) != bit:
+        """The box of one bit of the removed node's store: the box whose
+        slice of ``box_bits`` holds it, found by one scan."""
+        at = np.flatnonzero(self.box_bits == bit)
+        if not at.size:
             raise KeyError(f"bit {bit} was not stored at node {self.removed_node}")
-        return self.labels[int(self.keys[pos])]
+        return self.labels[int(np.searchsorted(self.offsets, at[0], side="right")) - 1]
 
     def box_labels(self) -> tuple[RemovalBoxLabel, ...]:
         """Every valid box label, empty boxes included, in box-key order."""
@@ -128,8 +124,8 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     For each class of affected bits there are (K-r)(r-1) boxes: one per
     (target, holder) pair, with the target drawn from the class and the
     holder from the bit's surviving storers. Draws are independent across
-    bits and consumed in ascending bit order; ``group_bits`` then groups
-    the bits by box key.
+    bits and consumed in ascending bit order; ``group_bits`` then sorts the
+    bits, packed with their box keys, into boxes.
     """
     place = db.placement
     nodes = place.nodes
@@ -150,42 +146,46 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
         tuple(n for n in nodes if n not in place.support[s]) for s in np.flatnonzero(member)
     )
     num_keys = len(classes) * boxes_per_class
-    key_dtype = np.min_scalar_type(max(num_keys - 1, 0))
-    # First box key of each support set's class; rows of sets without the
-    # removed node are never read.
-    class_base = ((np.cumsum(member) - 1) * boxes_per_class).astype(key_dtype)
+    shift, word = packing(place.num_bits, num_keys)
+    # First box key of each support set's class, packed; rows of sets
+    # without the removed node are never read.
+    class_base = ((np.cumsum(member) - 1) * boxes_per_class).astype(word) << shift
 
     num_affected = int(place.set_counts()[member].sum())
-    affected = np.empty(num_affected, dtype=index_dtype(place.num_bits - 1))
-    keys = np.empty(affected.size, dtype=key_dtype)
+    words = np.empty(num_affected, dtype=word)
     gen = rng.generator(STREAM_REMOVAL_BINNING)
 
     def draw_codes() -> np.ndarray:
         # Bounded int64 draws consume the stream value by value, so drawing
         # a chunk at a time gives the codes of one whole draw.
-        codes = np.empty(num_affected, dtype=key_dtype)
+        codes = np.empty(num_affected, dtype=index_dtype(boxes_per_class - 1))
         for start in range(0, num_affected, CHUNK):
             part = codes[start : start + CHUNK]
             part[:] = gen.integers(0, boxes_per_class, size=part.size)
         return codes
 
-    codes = in_background(draw_codes)
-    # Meanwhile, one file chunk at a time: its affected bits and their class bases.
-    filled = 0
-    for start in range(0, place.num_bits, CHUNK):
-        sets = place.set_index[start : start + CHUNK]
-        hits = np.flatnonzero(np.take(member, sets))
-        part = slice(filled, filled + hits.size)
-        np.add(hits, start, out=affected[part], casting="unsafe")
-        np.take(class_base, sets[hits], out=keys[part])
-        filled = part.stop
-    keys += codes()  # the codes are freed here, before grouping
-    box_bits, offsets = group_bits(affected, keys, num_keys)
+    drawn = in_background(draw_codes)
+    try:
+        # Meanwhile, one file chunk at a time: its affected bits with their class bases.
+        filled = 0
+        for start in range(0, place.num_bits, CHUNK):
+            sets = place.set_index[start : start + CHUNK]
+            hits = np.flatnonzero(np.take(member, sets))
+            part = words[filled : filled + hits.size]
+            np.take(class_base, sets[hits], out=part)
+            np.bitwise_or(part, hits + start, out=part, dtype=word, casting="unsafe")
+            filled += hits.size
+    except BaseException:
+        drawn(drop=True)  # the scan's error is the one reported
+        raise
+    codes = drawn()
+    for start in range(0, num_affected, CHUNK):
+        words[start : start + CHUNK] += np.left_shift(codes[start : start + CHUNK], shift, dtype=word)
+    del codes  # freed before grouping
+    box_bits, offsets = group_bits(words, shift, num_keys)
 
     return BinDirectoryRemoval(
         placement=place,
-        bits=affected,
-        keys=keys,
         box_bits=box_bits,
         offsets=offsets,
         removed_node=removed_node,
@@ -324,9 +324,6 @@ def apply_removal_rebalance(
         codewords = encode_removal(db, directory)
         _check_payloads(db, directory, codewords)
     except BaseException:
-        try:
-            new_placement()
-        except Exception:
-            pass  # the check's error is the one reported
+        new_placement(drop=True)  # the check's error is the one reported
         raise
     return Database(new_placement(), db.file), codewords

@@ -204,14 +204,17 @@ def test_criterion_09_small_instance_oracle():
         db = build_database(K, r, F, spec)
         directory = bin_removal(db, k, spec)
         new_db, _ = apply_removal_rebalance(db, k, spec)
-        position = {int(b): i for i, b in enumerate(directory.bits)}
+        targets = np.repeat(directory.box_targets, np.diff(directory.offsets))
+        target = dict(zip(directory.box_bits.tolist(), targets.tolist()))
+        assert len(target) == len(directory)
         for bit in range(F):
             old = set(db.placement.node_set(bit))
             if k in old:
-                expected = (old - {k}) | {int(directory.targets[position[bit]])}
+                expected = (old - {k}) | {target.pop(bit)}
             else:
                 expected = old
             assert set(new_db.placement.node_set(bit)) == expected
+        assert not target  # every binned bit was stored at node k
         agreements += 1
     report(
         "criterion-9 small-instance brute force",

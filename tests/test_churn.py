@@ -34,9 +34,10 @@ def remove(db, node, spec):
     new_db, _ = apply_removal_rebalance(db, node, spec)
     assert new_db.nodes == tuple(n for n in db.nodes if n != node)
     expected = node_masks(db)
-    affected = directory.bits
-    assert np.array_equal(affected, node_contents(db, node))
-    expected[affected] += (1 << directory.targets) - (1 << node)
+    affected = directory.box_bits.astype(np.intp)
+    assert np.array_equal(np.sort(affected), node_contents(db, node))
+    targets = np.repeat(directory.box_targets, np.diff(directory.offsets))
+    expected[affected] += (1 << targets) - (1 << node)
     assert np.array_equal(node_masks(new_db), expected)
     return new_db
 

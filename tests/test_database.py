@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -285,4 +286,9 @@ def test_in_background_runs_on_a_second_thread_and_hands_back_its_outcome(monkey
     with pytest.raises(KeyError) as raised:
         join()
     assert raised.value is error
+
+    finished = []
+    join = in_background(lambda: (time.sleep(0.05), finished.append(1), fail()))
+    join(drop=True)  # on a path already raising: waits, raises nothing
+    assert finished == [1]
     assert escaped == []

@@ -16,7 +16,7 @@ from coded_rebalance import (
     exclusive_group,
     node_contents,
 )
-from coded_rebalance.codeword import group_bits
+from coded_rebalance.codeword import group_bits, packing
 from coded_rebalance.database import CHUNK, count_keys, gather
 from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_ADDITION_BINNING, STREAM_REMOVAL_BINNING
@@ -48,12 +48,25 @@ def narrowest_unsigned(largest):
                 if largest <= np.iinfo(d).max)
 
 
+def group(bits, keys, num_keys):
+    """``group_bits`` of the bits packed with their keys, as ``packing``
+    lays them out for bits up to the largest."""
+    shift, dtype = packing(int(bits.max(initial=0)) + 1, num_keys)
+    words = keys.astype(dtype) << shift
+    words |= bits.astype(dtype)
+    return group_bits(words, shift, num_keys)
+
+
+def reference_offsets(keys, num_keys):
+    counts = np.bincount(keys.astype(np.int64), minlength=num_keys)
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
 def assert_grouped(bits, keys, num_keys):
-    box_bits, offsets = group_bits(bits, keys, num_keys)
+    box_bits, offsets = group(bits, keys, num_keys)
     assert box_bits.dtype == narrowest_unsigned(int(bits.max(initial=0)))
     assert np.array_equal(box_bits, bits[np.argsort(keys, kind="stable")])
-    counts = np.bincount(keys.astype(np.int64), minlength=num_keys)
-    assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+    assert np.array_equal(offsets, reference_offsets(keys, num_keys))
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,14 +88,16 @@ def test_group_bits_above_2_32(case):
 def test_group_bits_rejects_pairs_wider_than_64_bits():
     bits = np.array([3, 2**62], dtype=np.intp)
     keys = np.array([1, 0], dtype=np.uint8)
-    assert group_bits(bits, keys, 2)[0].tolist() == [2**62, 3]  # 64 bits: fits
+    assert group(bits, keys, 2)[0].tolist() == [2**62, 3]  # 64 bits: fits
     with pytest.raises(ValueError):
-        group_bits(bits, keys, 3)
+        group(bits, keys, 3)
+    with pytest.raises(ValueError):
+        packing(2**62 + 1, 3)
 
 
 @pytest.mark.parametrize("num_keys", [0, 1, 2**16, 2**16 + 1])
 def test_empty_input_gives_empty_boxes(num_keys):
-    box_bits, offsets = group_bits(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8), num_keys)
+    box_bits, offsets = group(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8), num_keys)
     assert box_bits.size == 0 and box_bits.dtype == np.uint8
     assert np.array_equal(offsets, np.zeros(num_keys + 1))
 
@@ -98,15 +113,50 @@ def test_packed_words_on_both_sides_of_32_bits_narrow_to_the_largest_bit(
     largest, num_keys, word, dtype
 ):
     assert largest.bit_length() + (num_keys - 1).bit_length() == word
+    assert packing(largest + 1, num_keys) == (
+        largest.bit_length(), np.dtype(np.uint32 if word <= 32 else np.uint64)
+    )
     rng = np.random.default_rng(largest)
     below = rng.choice(min(largest, 10**6), size=5000, replace=False)
     bits = np.append(np.sort(below), largest).astype(narrowest_unsigned(largest))
     keys = rng.integers(0, num_keys, size=bits.size).astype(np.min_scalar_type(num_keys - 1))
-    box_bits, offsets = group_bits(bits, keys, num_keys)
+    box_bits, offsets = group(bits, keys, num_keys)
     assert box_bits.dtype == dtype
     assert np.array_equal(box_bits, bits[np.argsort(keys, kind="stable")])
-    counts = np.bincount(keys, minlength=num_keys)
-    assert np.array_equal(offsets, np.concatenate(([0], np.cumsum(counts))))
+    assert np.array_equal(offsets, reference_offsets(keys, num_keys))
+
+
+@pytest.mark.parametrize("F,num_keys,word", [
+    (2**20, 2**12, np.uint32),  # the largest word is 2**32 - 1
+    (2**20 + 1, 2**12, np.uint64),  # one more file bit: 33-bit words
+    (2**20, 2**12 + 1, np.uint64),  # one more key: 33-bit words
+    (2**16, 2**16, np.uint32),  # F = 2**k: uint16 bits in 32-bit words
+    (2**16 + 1, 2**16, np.uint64),  # F = 2**k + 1: uint32 bits in 33-bit words
+    (2**16 + 1, 2**15, np.uint32),  # and in 32-bit words
+])
+def test_words_of_32_and_33_bits_at_f_a_power_of_two_and_one_more(F, num_keys, word):
+    shift, dtype = packing(F, num_keys)
+    assert shift == (F - 1).bit_length() and dtype == word
+    rng = np.random.default_rng(F + num_keys)
+    # the last file bit and the largest key, so the largest word is all ones
+    bits = np.append(np.sort(rng.choice(F - 1, size=5000, replace=False)), F - 1)
+    keys = rng.integers(0, num_keys, size=bits.size)
+    keys[-1] = num_keys - 1
+    words = keys.astype(dtype) << shift
+    words |= bits.astype(dtype)
+    assert int(words.max()) == (num_keys - 1) << shift | (F - 1)  # 2**32 - 1 in the first case
+    box_bits, offsets = group_bits(words, shift, num_keys)
+    assert box_bits.dtype == narrowest_unsigned(F - 1)
+    assert np.array_equal(box_bits, bits[np.argsort(keys, kind="stable")])
+    assert np.array_equal(offsets, reference_offsets(keys, num_keys))
+    # the words are sorted in place; box_bits is them when no narrowing is needed
+    assert np.shares_memory(box_bits, words) == (box_bits.dtype == dtype)
+    if num_keys.bit_length() + shift <= 8 * dtype.itemsize:  # a key of num_keys fits the word
+        keys[-1] = num_keys  # out of range, in the last word
+        words = keys.astype(dtype) << shift
+        words |= bits.astype(dtype)
+        with pytest.raises(ValueError):
+            group_bits(words, shift, num_keys)
 
 
 @pytest.mark.parametrize("F,dtype", [(256, np.uint8), (2**16, np.uint16), (2**16 + 1, np.uint32)])
@@ -114,11 +164,10 @@ def test_directory_bits_are_stored_in_the_narrowest_dtype_of_the_last_bit(F, dty
     db = build_database(6, 3, F, RngSpec(7))
     # a removed node that stores bit F-1, so it is the largest grouped bit
     removal = bin_removal(db, db.placement.node_set(F - 1)[0], RngSpec(7))
-    assert removal.bits[-1] == F - 1
-    assert removal.bits.dtype == removal.box_bits.dtype == dtype
+    assert removal.box_bits.max() == F - 1
+    assert removal.box_bits.dtype == dtype
     addition = bin_addition(db, RngSpec(7))
-    assert addition.bits.dtype == dtype
-    assert addition.box_bits.dtype.itemsize <= np.dtype(dtype).itemsize
+    assert addition.box_bits.dtype == dtype
     assert addition.codes.dtype == np.uint8
 
 
@@ -157,9 +206,9 @@ def test_bin_removal_across_file_chunks_equals_one_whole_draw():
         0, (K - r) * (r - 1), size=affected.size
     )
     keys = (np.cumsum(member) - 1)[db.placement.set_index[affected]] * (K - r) * (r - 1) + codes
-    assert np.array_equal(directory.bits, affected)
-    assert np.array_equal(directory.keys, keys)
+    assert len(directory) == affected.size
     assert np.array_equal(directory.box_bits, affected[np.argsort(keys, kind="stable")])
+    assert np.array_equal(directory.offsets, reference_offsets(keys, directory.offsets.size - 1))
 
 
 def test_bin_addition_across_file_chunks_equals_one_whole_draw():
@@ -172,14 +221,13 @@ def test_bin_addition_across_file_chunks_equals_one_whole_draw():
     moving = np.flatnonzero(codes < r)
     keys = db.placement.set_index[moving].astype(np.int64) * r + codes[moving]
     assert np.array_equal(directory.codes, codes)
-    assert np.array_equal(directory.bits, moving)
-    assert np.array_equal(directory.keys, keys)
     assert np.array_equal(directory.box_bits, moving[np.argsort(keys, kind="stable")])
+    assert np.array_equal(directory.offsets, reference_offsets(keys, len(db.placement.support) * r))
 
 
 def test_key_outside_the_key_space_is_rejected():
     with pytest.raises(ValueError):
-        group_bits(np.array([4, 9]), np.array([0, 3], dtype=np.uint8), 3)
+        group(np.array([4, 9]), np.array([0, 3], dtype=np.uint8), 3)
 
 
 def test_count_keys_equals_bincount_across_chunks():

@@ -67,19 +67,22 @@ def test_removal_matches_straight_line_oracle(inst):
     new_db, codewords = apply_removal_rebalance(db, k, RngSpec(seed))
 
     # oracle: place each affected bit at its box target, no packets involved
-    position = {int(b): i for i, b in enumerate(directory.bits)}
+    targets = np.repeat(directory.box_targets, np.diff(directory.offsets))
+    target = dict(zip(directory.box_bits.tolist(), targets.tolist()))
+    assert len(target) == len(directory)
     for bit in range(F):
         old = set(db.placement.node_set(bit))
         if k in old:
-            expected = (old - {k}) | {int(directory.targets[position[bit]])}
+            expected = (old - {k}) | {target.pop(bit)}
         else:
             expected = old
         assert set(new_db.placement.node_set(bit)) == expected
         assert len(new_db.placement.node_set(bit)) == r
 
+    assert not target  # every binned bit was stored at node k
     assert k not in {n for s in new_db.placement.support for n in s}
     total = sum(cw.payload_bits for cw in codewords)
-    assert total * (r - 1) >= directory.bits.size
+    assert total * (r - 1) >= len(directory)
 
 
 @settings(max_examples=30, deadline=None)

@@ -60,7 +60,7 @@ def test_binning_partitions_every_class():
     K, r, k = 6, 3, 6
     db = build_database(K, r, 12000, RngSpec(31))
     directory = bin_removal(db, k, RngSpec(31))
-    assert np.array_equal(directory.bits, node_contents(db, k))
+    assert np.array_equal(np.sort(directory.box_bits), node_contents(db, k))
     for cls in combinations(range(1, 6), K - r):
         class_bits = set()
         for label in boxes_for_class(db.nodes, k, cls):
@@ -102,7 +102,17 @@ def test_label_of_round_trips_through_groups():
         bits = directory.packet_bits(label)
         assert all(directory.label_of(int(bit)) == label for bit in bits)
         seen.extend(bits.tolist())
-    assert sorted(seen) == directory.bits.tolist()
+    assert seen == directory.box_bits.tolist()
+    assert sorted(seen) == node_contents(db, 2).tolist()
+
+
+def test_label_of_rejects_a_bit_the_removed_node_did_not_store():
+    db = build_database(5, 3, 400, RngSpec(2))
+    directory = bin_removal(db, 2, RngSpec(2))
+    kept = np.setdiff1d(np.arange(400), node_contents(db, 2))
+    for bit in (int(kept[0]), int(kept[-1]), -1, 400, 2**40):
+        with pytest.raises(KeyError):
+            directory.label_of(bit)
 
 
 @pytest.mark.parametrize("K,r", [(4, 2), (5, 2), (6, 3), (6, 4), (7, 5)])
@@ -259,7 +269,7 @@ def test_box_set_matches_a_per_box_reference(K, r, F, node):
     # a bit outside the removed node's store lies in another set than any
     # box; put it first in each box that straddles a chunk boundary, and
     # in the largest box
-    outside = np.setdiff1d(np.arange(F), directory.bits)[0]
+    outside = np.setdiff1d(np.arange(F), directory.box_bits)[0]
     starts, ends = directory.offsets[:-1], directory.offsets[1:]
     straddling = starts[(starts // CHUNK != (ends - 1) // CHUNK) & (ends > starts)]
     for pos in [*straddling.tolist(), starts[np.argmax(ends - starts)]]:
@@ -276,7 +286,7 @@ def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
     cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
     # lengthen the packet node 1 cancels with bits node 1 does store
     key = directory.box_labels().index(RemovalBoxLabel(4, (2, 3), 5))
-    extra = np.setdiff1d(node_contents(db, 1), directory.bits)[: cw.payload_bits + 5]
+    extra = np.setdiff1d(node_contents(db, 1), directory.box_bits)[: cw.payload_bits + 5]
     offsets = directory.offsets.copy()
     offsets[key + 1 :] += extra.size
     box_bits = np.insert(directory.box_bits, directory.offsets[key + 1], extra)
@@ -353,10 +363,12 @@ def test_apply_moves_each_affected_bit_to_its_box_target():
     db = build_database(6, 3, 5000, RngSpec(51))
     directory = bin_removal(db, 6, RngSpec(51))
     new_db, _ = apply_removal_rebalance(db, 6, RngSpec(51))
-    for pos, bit in enumerate(directory.bits.tolist()):
+    targets = np.repeat(directory.box_targets, np.diff(directory.offsets))
+    assert np.array_equal(np.sort(directory.box_bits), node_contents(db, 6))
+    for bit, target in zip(directory.box_bits.tolist(), targets.tolist()):
         old = set(db.placement.node_set(bit))
         new = set(new_db.placement.node_set(bit))
-        assert new == (old - {6}) | {int(directory.targets[pos])}
+        assert new == (old - {6}) | {target}
 
 
 def test_apply_leaves_unaffected_bits_alone():
@@ -444,7 +456,7 @@ def test_encode_rejects_a_placement_that_differs_outside_the_removed_store():
     set_index = place.set_index.copy()
     set_index[bit] = other
     moved = Database(PlacementMap(place.nodes, 3, place.support, set_index), db.file)
-    assert np.array_equal(node_contents(moved, 6), directory.bits)
+    assert np.array_equal(node_contents(moved, 6), np.sort(directory.box_bits))
     with pytest.raises(DirectoryMismatch):
         encode_removal(moved, directory)
 
@@ -525,9 +537,13 @@ def test_commit_rejects_a_stay_set_that_lost_a_node():
     db = build_database(6, 3, 2000, RngSpec(5))
     directory = bin_removal(db, 6, RngSpec(5))
     box_sets = [(1, 2, 3)] * (directory.offsets.size - 1)
-    # bits[0] is stored at node 6 but left out of the binned bits, so it keeps
-    # a set that names the removed node
-    unbinned = replace(directory, bits=directory.bits[1:], keys=directory.keys[1:])
+    directory.commit(directory.survivors, box_sets)
+    # the first bit of the last box is stored at node 6 but dropped from the
+    # binned bits, so it keeps a set that names the removed node
+    offsets = directory.offsets.copy()
+    start = int(offsets[np.flatnonzero(np.diff(offsets))[-1]])
+    offsets[offsets > start] -= 1
+    unbinned = replace(directory, box_bits=np.delete(directory.box_bits, start), offsets=offsets)
     with pytest.raises(RebalanceError):
         unbinned.commit(directory.survivors, box_sets)
 
@@ -548,6 +564,28 @@ def watch_threads(monkeypatch):
         assert escaped == []
 
     return check
+
+
+class FailingIndex(np.ndarray):
+    """A set index whose every read fails, as a scan that runs out of memory would."""
+
+    def __getitem__(self, item):
+        raise MemoryError("the scan ran out of memory")
+
+
+def test_a_failed_membership_scan_joins_the_code_draw(monkeypatch):
+    threads_after = watch_threads(monkeypatch)
+    db = build_database(6, 3, 6000, RngSpec(40))
+    db.placement.set_counts()  # taken before the set index fails
+    db.placement.set_index = db.placement.set_index.view(FailingIndex)
+    # the code draw is still running when the scan fails
+    honest = removal.in_background
+    monkeypatch.setattr(
+        removal, "in_background", lambda fn: honest(lambda: (time.sleep(0.2), fn())[1])
+    )
+    with pytest.raises(MemoryError, match="the scan ran out of memory"):
+        bin_removal(db, 6, RngSpec(40))
+    threads_after()
 
 
 def failing_commit(delay):

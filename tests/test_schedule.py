@@ -23,15 +23,30 @@ from coded_rebalance import (
     decode_removal,
     encode_addition,
     encode_removal,
+    node_contents,
 )
+from coded_rebalance.rng import STREAM_REMOVAL_BINNING
 
 
 def fields(codewords):
     return [(cw.sender, cw.group, cw.constituents, cw.payload.tobytes()) for cw in codewords]
 
 
-def reference_removal(db, directory):
+def removal_keys(db, directory, spec):
+    """The removed node's bits, ascending, and each one's box key, drawn
+    from the binning stream: class ordinal times the boxes per class, plus
+    the bit's code."""
+    K, r, k = db.num_nodes, db.replication, directory.removed_node
+    bits = node_contents(db, k)
+    per_class = (K - r) * (r - 1)
+    codes = spec.generator(STREAM_REMOVAL_BINNING).integers(0, per_class, size=bits.size)
+    ordinal = np.cumsum(db.placement.support_membership(k)) - 1
+    return bits, ordinal[db.placement.set_index[bits]] * per_class + codes
+
+
+def reference_removal(db, directory, spec):
     r, survivors = db.replication, directory.survivors
+    bits, keys = removal_keys(db, directory, spec)
     schedule = []
     for ctx in combinations(survivors, len(db.nodes) - r - 1):
         members = [n for n in survivors if n not in ctx]
@@ -44,7 +59,7 @@ def reference_removal(db, directory):
                 holders = [n for n in survivors if n not in cls]
                 key = (directory.classes.index(cls) * len(cls) + cls.index(target)) * (r - 1)
                 key += holders.index(sender)
-                packet = db.file.values[directory.bits[directory.keys == key]]
+                packet = db.file.values[bits[keys == key]]
                 constituents.append((RemovalBoxLabel(target, ctx, sender), packet.size))
                 packets.append(packet)
             payload = np.zeros(max(p.size for p in packets), dtype=np.uint8)
@@ -56,13 +71,15 @@ def reference_removal(db, directory):
 
 def reference_addition(db, directory):
     r = db.replication
+    bits = np.flatnonzero(directory.codes < r)
+    keys = db.placement.set_index[bits].astype(np.int64) * r + directory.codes[bits]
     schedule = []
     for sender in db.nodes:
         rest = [n for n in db.nodes if n != sender]
         for cls in combinations(rest, len(db.nodes) - r):
             s = directory.classes.index(cls)
             key = s * r + db.placement.support[s].index(sender)
-            payload = db.file.values[directory.bits[directory.keys == key]]
+            payload = db.file.values[bits[keys == key]]
             label = AdditionBoxLabel(cls, sender)
             schedule.append((sender, cls, ((label, payload.size),), payload.tobytes()))
     return schedule
@@ -84,7 +101,7 @@ def test_removal_schedule_equals_the_reference_and_decodes(instance):
         for removed in db.nodes:
             directory = bin_removal(db, removed, RngSpec(seed))
             codewords = encode_removal(db, directory)
-            assert fields(codewords) == reference_removal(db, directory)
+            assert fields(codewords) == reference_removal(db, directory, RngSpec(seed))
             for cw in codewords:
                 for label, _ in cw.constituents:
                     bits, values = decode_removal(label.target, cw, db, directory)
