@@ -15,7 +15,6 @@ from coded_rebalance import (
     exclusive_group,
     node_storage_counts,
 )
-from coded_rebalance.addition import boxes_for_class
 
 K, R = 4, 2
 SEED = 23
@@ -34,7 +33,7 @@ cls = (2, 3)
 print(f"{R} codes name a move box, one per holder; the other K-r+1 = {K - R + 1} "
       f"codes mean stay")
 print(f"bits of the class absent from {cls}:")
-for label in boxes_for_class(db.nodes, cls):
+for label in (lab for lab in directory.labels if lab.bit_class == cls):
     bits = directory.packet_bits(label)
     print(f"  move: shipped and deleted by node {label.node}: {bits.size} bits")
 class_bits = exclusive_group(db, cls)

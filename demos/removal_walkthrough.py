@@ -18,7 +18,6 @@ from coded_rebalance import (
     node_contents,
     removal_load,
 )
-from coded_rebalance.removal import boxes_for_class
 
 K, R, REMOVED = 6, 3, 6
 SEED = 11
@@ -35,8 +34,9 @@ print()
 print("STEP 1: binning -- every affected bit picks one box of its class")
 directory = bin_removal(db, REMOVED, spec)
 cls = (1, 2, 3)
-print(f"class absent from {cls} has {len(boxes_for_class(db.nodes, REMOVED, cls))} boxes:")
-for label in boxes_for_class(db.nodes, REMOVED, cls):
+boxes = [lab for lab in directory.labels if tuple(sorted((lab.target, *lab.remainder))) == cls]
+print(f"class absent from {cls} has {len(boxes)} boxes:")
+for label in boxes:
     bits = directory.packet_bits(label)
     print(f"  to node {label.target}, broadcast by {label.holder} "
           f"(context {label.remainder}): {bits.size} bits")

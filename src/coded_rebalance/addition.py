@@ -33,12 +33,6 @@ class AdditionBoxLabel:
     node: int
 
 
-def boxes_for_class(nodes: NodeSet, bit_class: NodeSet) -> tuple[AdditionBoxLabel, ...]:
-    """The r move boxes of one class, one per holder."""
-    cls = tuple(sorted(bit_class))
-    return tuple(AdditionBoxLabel(cls, h) for h in sorted(nodes) if h not in cls)
-
-
 @dataclass
 class BinDirectoryAddition(BoxDirectory):
     """Shared box assignment covering every bit of the file.
@@ -56,30 +50,47 @@ class BinDirectoryAddition(BoxDirectory):
     def __len__(self) -> int:
         return int(self.codes.size)
 
+    @property
+    def new_nodes(self) -> NodeSet:
+        return tuple(sorted((*self.placement.nodes, self.new_node)))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Per box key: the holder, as ``sender``; its class, as ``group``; and
+        its set less the sender plus the new node (the largest id), as ``new_set``."""
+        r, node = self.placement.replication, index_dtype(self.new_node)
+        support, cls = np.array(self.placement.support, node), np.array(self.classes, node)
+        table = np.empty(support.shape, [("sender", node), ("group", node, cls.shape[1:]),
+                                         ("new_set", node, (r,))])
+        table["sender"], table["group"] = support, cls[:, None, :]
+        table["new_set"][..., -1] = self.new_node
+        for code in range(r):
+            table["new_set"][:, code, :-1] = np.delete(support, code, axis=1)
+        return table.reshape(-1)
+
+    @cached_property
+    def labels(self) -> tuple[AdditionBoxLabel, ...]:
+        """Every move box's label, by key; those of one class share its tuple."""
+        return tuple(
+            AdditionBoxLabel(cls, holder)
+            for cls, holders in self.shared_groups(self.placement.replication)
+            for holder in holders
+        )
+
     @cached_property
     def rows(self) -> np.ndarray:
         """Box keys by handoff, one per row, in the order of
         ``encode_addition``: by sender, then class lexicographically."""
-        r = self.placement.replication
-        s, code = np.divmod(np.arange(self.offsets.size - 1), r)
-        cls = np.asarray(self.classes).reshape(len(self.classes), -1)[s]
-        senders = np.asarray(self.placement.support)[s, code]
-        return np.lexsort((*cls.T[::-1], senders))[:, None]
+        return np.lexsort((*self.table["group"].T[::-1], self.table["sender"]))[:, None]
 
     def label_of(self, bit: int) -> AdditionBoxLabel | None:
-        """The move box of one bit, or ``None`` for a bit that stays."""
+        """The move box of one bit, ``None`` if it stays; ``KeyError`` if no such bit."""
+        if not 0 <= bit < self.codes.size:
+            raise KeyError(f"bit {bit} is not a bit of the file")
         code = int(self.codes[bit])
         if code >= self.placement.replication:
             return None
         return self.labels[int(self.placement.set_index[bit]) * self.placement.replication + code]
-
-    def box_labels(self) -> tuple[AdditionBoxLabel, ...]:
-        """Every move box label, empty boxes included, in box-key order."""
-        return tuple(
-            AdditionBoxLabel(cls, holder)
-            for cls, stored in zip(self.classes, self.placement.support)
-            for holder in stored
-        )
 
 
 def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
@@ -143,7 +154,7 @@ def encode_addition(db: Database, directory: BinDirectoryAddition) -> list[Codew
     K * C(K-1, K-r).
     """
     directory.check_placement(db)
-    return directory.codewords(db.file, lambda label: (label.node, label.bit_class))
+    return directory.codewords(db.file)
 
 
 def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, list[Codeword]]:
@@ -156,12 +167,4 @@ def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, list
     """
     directory = bin_addition(db, rng)
     codewords = encode_addition(db, directory)
-
-    new_node = directory.new_node
-    box_sets = [
-        tuple(sorted((*(n for n in stored if n != holder), new_node)))
-        for stored in db.placement.support
-        for holder in stored
-    ]
-    new_place = directory.commit(tuple(sorted((*db.nodes, new_node))), box_sets)
-    return Database(new_place, db.file), codewords
+    return Database(directory.commit(), db.file), codewords

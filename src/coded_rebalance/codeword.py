@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,9 +89,10 @@ class BoxDirectory:
     the support set each box's bits share, and ``box_values``, the file's
     values in ``box_bits`` order, from which packets are sliced.
 
-    Each subclass names its boxes with ``box_labels()``, read once into
-    ``labels``, and lays out its schedule as ``rows``: the box keys of one
-    codeword per row, in broadcast order, every key in exactly one row.
+    Each subclass states its box layout once, in ``table``: per box key,
+    its codeword's ``sender`` and ``group`` and its bits' ``new_set``. From
+    it come ``labels``, ``rows`` (one codeword's box keys per row, in
+    broadcast order) and, with ``new_nodes``, the commit.
     """
 
     placement: PlacementMap = field(repr=False)
@@ -106,10 +106,13 @@ class BoxDirectory:
         """Where box ``key`` lies in ``box_bits`` and in ``box_values``."""
         return slice(self.offsets[key], self.offsets[key + 1])
 
-    @cached_property
-    def labels(self) -> tuple:
-        """Every box's label, by key."""
-        return self.box_labels()
+    def shared_groups(self, size: int):
+        """Per block of ``size`` keys with one group, in key order: the group
+        as one tuple, and the senders; ``ROW_SLICE`` blocks at a time."""
+        for first in range(0, len(self.table), size * ROW_SLICE):
+            part = self.table[first : first + size * ROW_SLICE]
+            yield from zip(map(tuple, part["group"][::size].tolist()),
+                           part["sender"].reshape(-1, size).tolist())
 
     @cached_property
     def _keys_by_label(self) -> dict:
@@ -174,23 +177,25 @@ class BoxDirectory:
             out[start : start + size] ^= values[begin : begin + size]
         return out, starts
 
-    def codewords(
-        self, file: FileInstance, head: Callable[[object], tuple[int, NodeSet]]
-    ) -> list[Codeword]:
+    def codewords(self, file: FileInstance) -> list[Codeword]:
         """One codeword per row: the row's XOR, with each box's label and
-        true length. ``head`` gives a row's sender and group from its first
-        label. Payloads are views into one buffer. Rows become Python ints
-        ``ROW_SLICE`` rows at a time, not all at once beside the records."""
+        true length, from its first box's sender to that box's group.
+        Payloads are views into one buffer. Rows and heads become Python
+        objects ``ROW_SLICE`` rows at a time, not all at once."""
         payload, starts = self.row_xors(file, self.rows)
         sizes, labels = np.diff(self.offsets).tolist(), self.labels
         records = []
         for first in range(0, len(self.rows), ROW_SLICE):
-            rows = self.rows[first : first + ROW_SLICE].tolist()
+            rows = self.rows[first : first + ROW_SLICE]
+            heads = self.table[rows[:, 0]]
+            shared = {}  # equal groups in a slice share one tuple
+            groups = [shared.setdefault(g, g) for g in map(tuple, heads["group"].tolist())]
             bounds = starts[first : first + len(rows) + 1].tolist()
             records += [
-                Codeword(*head(labels[row[0]]), payload[begin:end],
+                Codeword(sender, group, payload[begin:end],
                          tuple((labels[k], sizes[k]) for k in row))
-                for row, begin, end in zip(rows, bounds, bounds[1:])
+                for sender, group, row, begin, end in zip(
+                    heads["sender"].tolist(), groups, rows.tolist(), bounds, bounds[1:])
             ]
         return records
 
@@ -211,19 +216,22 @@ class BoxDirectory:
         ):
             raise DirectoryMismatch("directory was binned from a different placement")
 
-    def commit(self, new_nodes: NodeSet, box_sets: Sequence[NodeSet]) -> PlacementMap:
-        """The placement after each binned bit moves to its box's node set.
-
-        ``box_sets[k]`` is the node set box ``k`` sends its bits to. Every
-        other bit keeps its set, which must lie in the new nodes' support.
-        """
+    def commit(self) -> PlacementMap:
+        """The placement on ``new_nodes`` after each binned bit moves to its
+        box's ``new_set``. Every other bit keeps its set, which must lie in
+        the new support; ``RebalanceError`` otherwise."""
         place = self.placement
-        new_support = full_support(new_nodes, place.replication)
+        new_support = full_support(self.new_nodes, place.replication)
         unmapped = len(new_support)  # the index of a set outside the new support
         lookup = {s: i for i, s in enumerate(new_support)}
         dtype = index_dtype(unmapped)
         stay_table = np.array([lookup.get(s, unmapped) for s in place.support], dtype=dtype)
-        box_table = np.array([lookup.get(s, unmapped) for s in box_sets], dtype=dtype)
+        # Each run of keys with one new set is looked up once.
+        new_sets = self.table["new_set"]
+        starts = np.ones(len(new_sets), dtype=bool)
+        starts[1:] = np.any(new_sets[1:] != new_sets[:-1], axis=1)
+        runs = [lookup.get(s, unmapped) for s in map(tuple, new_sets[starts].tolist())]
+        box_table = np.array(runs, dtype=dtype)[np.cumsum(starts) - 1]
         new_index = gather(stay_table, place.set_index)
         for begin in range(0, self.box_bits.size, CHUNK):
             bits = self.box_bits[begin : begin + CHUNK]
@@ -234,4 +242,4 @@ class BoxDirectory:
             new_index[bits] = np.repeat(box_table[first:last], sizes)
         if new_index.max(initial=0) >= unmapped:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
-        return PlacementMap(new_nodes, place.replication, new_support, new_index)
+        return PlacementMap(self.new_nodes, place.replication, new_support, new_index)

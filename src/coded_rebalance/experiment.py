@@ -135,7 +135,6 @@ class TrialResult:
     storage_before: dict[int, int]
     storage_after: dict[int, int]
     replication_exact: bool
-    floor_ok: bool
     wall_time_s: float
 
 
@@ -175,13 +174,11 @@ def _run_trial(config: ExperimentConfig, spec: RngSpec, support, db: Database,
             removed_node=config.removed_node,
         )
         # exact per-run floor: padding can only add bits
-        floor_ok = report.total_transmitted_bits * (config.replication - 1) >= (
-            report.realized_storage_bits
-        )
+        if report.total_transmitted_bits * (config.replication - 1) < report.realized_storage_bits:
+            raise RebalanceError(f"trial {trial}: transmitted below the per-run floor")
     else:
         new_db, codewords = apply_addition_rebalance(db, spec)
         report = addition_load(codewords, config.num_nodes, config.replication, config.num_bits)
-        floor_ok = True
 
     balance = verify_r_balanced(new_db, config.balance_tolerance)
     after = balance.node_loads
@@ -196,8 +193,6 @@ def _run_trial(config: ExperimentConfig, spec: RngSpec, support, db: Database,
                 f"trial {trial}: new node stores {after[new_node]} bits but "
                 f"{report.total_transmitted_bits} were transmitted"
             )
-    if not floor_ok:
-        raise RebalanceError(f"trial {trial}: transmitted below the per-run floor")
 
     check = uniformity_check(new_db.placement, support)
     return TrialResult(
@@ -208,7 +203,6 @@ def _run_trial(config: ExperimentConfig, spec: RngSpec, support, db: Database,
         storage_before=before,
         storage_after=after,
         replication_exact=balance.replication_ok,
-        floor_ok=floor_ok,
         wall_time_s=time.perf_counter() - started,
     )
 

@@ -49,18 +49,6 @@ class RemovalBoxLabel:
     holder: int
 
 
-def boxes_for_class(nodes: NodeSet, removed_node: int, bit_class: NodeSet) -> tuple[RemovalBoxLabel, ...]:
-    """All (K-r)(r-1) boxes a bit of the given class may choose."""
-    cls = tuple(sorted(bit_class))
-    excluded = set(cls) | {removed_node}
-    holders = tuple(n for n in sorted(nodes) if n not in excluded)
-    labels = []
-    for target in cls:
-        remainder = tuple(n for n in cls if n != target)
-        labels.extend(RemovalBoxLabel(target, remainder, h) for h in holders)
-    return tuple(labels)
-
-
 @dataclass
 class BinDirectoryRemoval(BoxDirectory):
     """Shared box assignment for every bit the removed node stored.
@@ -70,8 +58,8 @@ class BinDirectoryRemoval(BoxDirectory):
     for unpadding. It is never charged to the communication load.
 
     The binned bits are the removed node's store. Boxes are numbered by an
-    integer key: class ordinal times the (K-r)(r-1) boxes per class, plus
-    the box's position in ``boxes_for_class``.
+    integer key: class ordinal times the (K-r)(r-1) boxes per class, plus the
+    target's index in the class times r-1, plus the holder's index.
     """
 
     removed_node: int
@@ -81,26 +69,48 @@ class BinDirectoryRemoval(BoxDirectory):
     def __len__(self) -> int:
         return int(self.box_bits.size)
 
+    @property
+    def new_nodes(self) -> NodeSet:
+        return self.survivors
+
     @cached_property
+    def table(self) -> np.ndarray:
+        """Per box key: ``target``; the holder, as ``sender``; the remainder,
+        as ``group``; and the holders plus the target, as ``new_set``."""
+        r, node = self.placement.replication, index_dtype(max(self.placement.nodes))
+        cls = np.array(self.classes, dtype=node)
+        holders = np.array([[n for n in self.survivors if n not in c] for c in self.classes], node)
+        table = np.empty((*cls.shape, r - 1), [("target", node), ("sender", node),
+                         ("group", node, (cls.shape[1] - 1,)), ("new_set", node, (r,))])
+        table["target"], table["sender"] = cls[:, :, None], holders[:, None, :]
+        for t in range(cls.shape[1]):
+            table["group"][:, t] = np.delete(cls, t, axis=1)[:, None]
+            table["new_set"][:, t] = np.sort(np.c_[holders, cls[:, t]], axis=1)[:, None]
+        return table.reshape(-1)
+
+    @property
     def box_targets(self) -> np.ndarray:
-        """The survivor each box's bits move to, by key."""
-        return np.repeat(np.asarray(self.classes).ravel(), self.placement.replication - 1)
+        """The survivor each box's bits move to, by key, as intp."""
+        return self.table["target"].astype(np.intp)
+
+    @cached_property
+    def labels(self) -> tuple[RemovalBoxLabel, ...]:
+        """Every box's label, by key; those of one (class, target) share a remainder."""
+        size = self.placement.replication - 1
+        targets = self.table["target"][::size].tolist()
+        return tuple(
+            RemovalBoxLabel(target, remainder, holder)
+            for target, (remainder, holders) in zip(targets, self.shared_groups(size))
+            for holder in holders
+        )
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Box keys by codeword, in the order of ``encode_removal``: contexts
         (class minus target) lexicographically, then holders; each row's
         r-1 boxes by target."""
-        r = self.placement.replication
-        cls = np.asarray(self.classes, dtype=np.min_scalar_type(max(self.survivors)))
-        # A class's holders are its support set without the removed node.
-        member = self.placement.support_membership(self.removed_node)
-        sets = np.asarray(self.placement.support)[member]
-        holders = sets[sets != self.removed_node].reshape(-1, r - 1)
-        c, rest = np.divmod(np.arange(self.offsets.size - 1), cls.shape[1] * (r - 1))
-        t, h = np.divmod(rest, r - 1)
-        context = [cls[c, j + (j >= t)] for j in reversed(range(cls.shape[1] - 1))]
-        return np.lexsort((self.box_targets, holders[c, h], *context)).reshape(-1, r - 1)
+        keys = (self.table["target"], self.table["sender"], *self.table["group"].T[::-1])
+        return np.lexsort(keys).reshape(-1, self.placement.replication - 1)
 
     def label_of(self, bit: int) -> RemovalBoxLabel:
         """The box of one bit of the removed node's store: the box whose
@@ -109,13 +119,6 @@ class BinDirectoryRemoval(BoxDirectory):
         if not at.size:
             raise KeyError(f"bit {bit} was not stored at node {self.removed_node}")
         return self.labels[int(np.searchsorted(self.offsets, at[0], side="right")) - 1]
-
-    def box_labels(self) -> tuple[RemovalBoxLabel, ...]:
-        """Every valid box label, empty boxes included, in box-key order."""
-        nodes = (*self.survivors, self.removed_node)
-        return tuple(
-            lab for cls in self.classes for lab in boxes_for_class(nodes, self.removed_node, cls)
-        )
 
 
 def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRemoval:
@@ -203,7 +206,7 @@ def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codewor
     r * C(K-1, K-r-1).
     """
     directory.check_placement(db)
-    return directory.codewords(db.file, lambda label: (label.holder, label.remainder))
+    return directory.codewords(db.file)
 
 
 def decode_removal(
@@ -302,17 +305,9 @@ def apply_removal_rebalance(
     even when building the placement failed too.
     """
     directory = bin_removal(db, removed_node, rng)
-    # An affected bit's new set is its box's class minus the target, taken
-    # out of the survivors; the box's holder does not change it.
-    new_sets = [
-        tuple(n for n in directory.survivors if n == target or n not in cls)
-        for cls in directory.classes
-        for target in cls
-    ]
-    box_sets = [s for s in new_sets for _ in range(db.replication - 1)]
 
     def build_placement() -> PlacementMap:
-        placement = directory.commit(directory.survivors, box_sets)
+        placement = directory.commit()
         placement.set_counts()
         return placement
 

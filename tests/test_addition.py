@@ -20,36 +20,61 @@ from coded_rebalance import (
     full_support,
     node_storage_counts,
 )
-from coded_rebalance.addition import boxes_for_class
 from coded_rebalance.rng import STREAM_ADDITION_BINNING
+
+from box_reference import addition_boxes, table_boxes
+
+
+def class_labels(directory, cls):
+    """The labels of one class's move boxes, in key order."""
+    return [lab for lab in directory.labels if lab.bit_class == cls]
 
 
 def test_box_set_for_one_class():
     # class {2,3} with 4 nodes: movers 1 and 4; stays take no box
-    labels = boxes_for_class((1, 2, 3, 4), (2, 3))
-    assert labels == (AdditionBoxLabel((2, 3), 1), AdditionBoxLabel((2, 3), 4))
+    directory = bin_addition(build_database(4, 2, 100, RngSpec(88)), RngSpec(88))
+    labels = class_labels(directory, (2, 3))
+    assert labels == [AdditionBoxLabel((2, 3), 1), AdditionBoxLabel((2, 3), 4)]
 
 
 @pytest.mark.parametrize("K,r", [(4, 2), (5, 3), (6, 3), (4, 4), (5, 1)])
 def test_move_and_stay_counts_per_class(K, r):
     cls = tuple(range(1, K - r + 1))
-    labels = boxes_for_class(tuple(range(1, K + 1)), cls)
-    assert len(labels) == r
-    assert {lab.node for lab in labels} == set(range(K - r + 1, K + 1))
     # of the K+1 codes, r name a mover and the other K-r+1 mean stay
     db = build_database(K, r, 3000, RngSpec(89))
     directory = bin_addition(db, RngSpec(89))
+    labels = class_labels(directory, cls)
+    assert len(labels) == r
+    assert {lab.node for lab in labels} == set(range(K - r + 1, K + 1))
     assert set(np.unique(directory.codes).tolist()) == set(range(K + 1))
     first_bit = {c: int(np.flatnonzero(directory.codes == c)[0]) for c in range(K + 1)}
     stays = [c for c, bit in first_bit.items() if directory.label_of(bit) is None]
     assert stays == list(range(r, K + 1))
 
 
+@pytest.mark.parametrize("K", range(1, 8))
+def test_box_table_equals_a_straight_line_enumeration(K):
+    # every r at K <= 7: r = 1, and r = K (empty classes) included
+    for r in range(1, K + 1):
+        directory = bin_addition(build_database(K, r, 60, RngSpec(K)), RngSpec(K))
+        boxes = addition_boxes(directory.placement.nodes, r)
+        assert table_boxes(directory) == boxes, r
+        assert directory.labels == tuple(AdditionBoxLabel(b["group"], b["sender"]) for b in boxes)
+        assert len(boxes) == directory.offsets.size - 1
+
+
+def test_labels_of_one_class_share_one_class_tuple():
+    directory = bin_addition(build_database(5, 3, 200, RngSpec(3)), RngSpec(3))
+    labels = directory.labels
+    for first in range(0, len(labels), 3):
+        assert len({id(lab.bit_class) for lab in labels[first : first + 3]}) == 1
+
+
 def test_binning_covers_every_bit_once():
     db = build_database(4, 2, 5000, RngSpec(90))
     directory = bin_addition(db, RngSpec(90))
     assert len(directory) == 5000
-    moved = np.concatenate([directory.packet_bits(lab) for lab in directory.box_labels()])
+    moved = np.concatenate([directory.packet_bits(lab) for lab in directory.labels])
     stayed = np.flatnonzero(directory.codes >= 2)
     assert np.array_equal(np.sort(np.concatenate([moved, stayed])), np.arange(5000))
 
@@ -67,13 +92,21 @@ def test_box_choice_is_uniform_within_class():
 def test_label_of_agrees_with_groups_and_stays():
     db = build_database(4, 2, 300, RngSpec(92))
     directory = bin_addition(db, RngSpec(92))
-    for label in directory.box_labels():
+    for label in directory.labels:
         for bit in directory.packet_bits(label):
             assert directory.label_of(int(bit)) == label
     stay_bits = np.flatnonzero(directory.codes >= 2)
     assert stay_bits.size
     assert all(directory.label_of(int(bit)) is None for bit in stay_bits)
     assert np.array_equal(np.sort(directory.box_bits), np.flatnonzero(directory.codes < 2))
+
+
+def test_label_of_rejects_a_bit_outside_the_file():
+    F = 300
+    directory = bin_addition(build_database(4, 2, F, RngSpec(93)), RngSpec(93))
+    for bit in (-1, -F, F, 2**40):
+        with pytest.raises(KeyError):
+            directory.label_of(bit)
 
 
 def test_stay_boxes_hold_no_packets():

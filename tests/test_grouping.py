@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coded_rebalance import (
+    RemovalBoxLabel,
     RngSpec,
     bin_addition,
     bin_removal,
@@ -18,8 +19,9 @@ from coded_rebalance import (
 )
 from coded_rebalance.codeword import group_bits, packing
 from coded_rebalance.database import CHUNK, count_keys, gather
-from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_ADDITION_BINNING, STREAM_REMOVAL_BINNING
+
+from box_reference import removal_boxes
 
 # Key spaces on both sides of 8- and 16-bit key dtypes.
 DENSE_KEY_SPACES = (1, 2, 255, 256, 2**16, 2**16 + 1, 3 * 2**16 + 5)
@@ -246,13 +248,20 @@ def test_bin_removal_above_2_16_boxes_matches_a_reference_grouping():
     directory = bin_removal(db, k, RngSpec(seed))
     assert directory.offsets.size - 1 > 2**16
     affected = node_contents(db, k)
+    per_class = (K - r) * (r - 1)
     codes = RngSpec(seed).generator(STREAM_REMOVAL_BINNING).integers(
-        0, (K - r) * (r - 1), size=affected.size
+        0, per_class, size=affected.size
     )
+    boxes = [RemovalBoxLabel(b["target"], b["group"], b["sender"])
+             for b in removal_boxes(db.nodes, k, r)]
+    class_boxes = {  # a class is a box's target plus its remainder
+        tuple(sorted((box.target, *box.remainder))): boxes[i : i + per_class]
+        for i, box in enumerate(boxes) if i % per_class == 0
+    }
     expected = defaultdict(list)
     for bit, code in zip(affected.tolist(), codes.tolist()):
         cls = tuple(n for n in db.nodes if n not in db.placement.node_set(bit))
-        expected[boxes_for_class(db.nodes, k, cls)[code]].append(bit)
+        expected[class_boxes[cls][code]].append(bit)
     for label, bits in expected.items():
         assert directory.packet_bits(label).tolist() == bits
         assert directory.label_of(bits[0]) == label

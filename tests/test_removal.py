@@ -31,29 +31,58 @@ from coded_rebalance import (
 )
 from coded_rebalance import codeword, database, removal
 from coded_rebalance.database import CHUNK
-from coded_rebalance.removal import boxes_for_class
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
+
+from box_reference import removal_boxes, table_boxes
+
+
+def class_labels(directory, cls):
+    """The labels of one class's boxes, in key order."""
+    return [lab for lab in directory.labels if tuple(sorted((lab.target, *lab.remainder))) == cls]
 
 
 def test_box_set_for_one_class():
     # class {1,2,3} after removing node 6: targets 1..3, holders 4..5
-    labels = boxes_for_class((1, 2, 3, 4, 5, 6), 6, (1, 2, 3))
-    expected = {
+    directory = bin_removal(build_database(6, 3, 200, RngSpec(3)), 6, RngSpec(3))
+    expected = [
         RemovalBoxLabel(1, (2, 3), 4),
         RemovalBoxLabel(1, (2, 3), 5),
         RemovalBoxLabel(2, (1, 3), 4),
         RemovalBoxLabel(2, (1, 3), 5),
         RemovalBoxLabel(3, (1, 2), 4),
         RemovalBoxLabel(3, (1, 2), 5),
-    }
-    assert set(labels) == expected
+    ]
+    assert class_labels(directory, (1, 2, 3)) == expected
 
 
 @pytest.mark.parametrize("K,r", [(4, 2), (5, 3), (6, 3), (6, 4), (7, 2)])
 def test_box_count_per_class(K, r):
-    cls = tuple(range(1, K - r + 1))
-    labels = boxes_for_class(tuple(range(1, K + 1)), K, cls)
-    assert len(labels) == (K - r) * (r - 1)
+    directory = bin_removal(build_database(K, r, 200, RngSpec(3)), K, RngSpec(3))
+    assert len(class_labels(directory, tuple(range(1, K - r + 1)))) == (K - r) * (r - 1)
+
+
+@pytest.mark.parametrize("K", range(3, 8))
+def test_box_table_equals_a_straight_line_enumeration(K):
+    # every r and removed node at K <= 7, K - r = 1 (empty remainders) included
+    for r in range(2, K):
+        db = build_database(K, r, 60, RngSpec(K))
+        for k in db.nodes:
+            directory = bin_removal(db, k, RngSpec(K))
+            boxes = removal_boxes(db.nodes, k, r)
+            assert table_boxes(directory) == boxes, (r, k)
+            assert directory.labels == tuple(
+                RemovalBoxLabel(b["target"], b["group"], b["sender"]) for b in boxes
+            )
+            assert directory.box_targets.tolist() == [b["target"] for b in boxes]
+            assert directory.box_targets.dtype == np.intp
+            assert len(boxes) == directory.offsets.size - 1
+
+
+def test_labels_of_one_class_and_target_share_one_remainder():
+    directory = bin_removal(build_database(6, 4, 200, RngSpec(3)), 6, RngSpec(3))
+    labels = directory.labels
+    for first in range(0, len(labels), 3):
+        assert len({id(lab.remainder) for lab in labels[first : first + 3]}) == 1
 
 
 def test_binning_partitions_every_class():
@@ -63,7 +92,7 @@ def test_binning_partitions_every_class():
     assert np.array_equal(np.sort(directory.box_bits), node_contents(db, k))
     for cls in combinations(range(1, 6), K - r):
         class_bits = set()
-        for label in boxes_for_class(db.nodes, k, cls):
+        for label in class_labels(directory, cls):
             bits = directory.packet_bits(label)
             as_set = set(bits.tolist())
             assert not (class_bits & as_set)
@@ -76,7 +105,7 @@ def test_expected_packet_size_matches_law():
     K, r, F = 6, 3, 120000
     db = build_database(K, r, F, RngSpec(8))
     directory = bin_removal(db, 6, RngSpec(8))
-    sizes = [directory.packet_bits(lab).size for lab in directory.box_labels()]
+    sizes = [directory.packet_bits(lab).size for lab in directory.labels]
     assert len(sizes) == 60
     sigma_dk = math.sqrt(F * 0.25)
     assert abs(np.mean(sizes) - 1000) <= 3 * sigma_dk / 60
@@ -85,7 +114,7 @@ def test_expected_packet_size_matches_law():
 def test_packet_contents_deterministic_and_ordered():
     db = build_database(6, 3, 3000, RngSpec(19))
     directory = bin_removal(db, 6, RngSpec(19))
-    label = next(lab for lab in directory.box_labels() if directory.packet_bits(lab).size > 1)
+    label = next(lab for lab in directory.labels if directory.packet_bits(lab).size > 1)
     bits1 = directory.packet_bits(label)
     vals1 = db.file.values[bits1]
     bits2 = directory.packet_bits(label)
@@ -98,7 +127,7 @@ def test_label_of_round_trips_through_groups():
     db = build_database(5, 3, 400, RngSpec(2))
     directory = bin_removal(db, 2, RngSpec(2))
     seen = []
-    for label in directory.box_labels():
+    for label in directory.labels:
         bits = directory.packet_bits(label)
         assert all(directory.label_of(int(bit)) == label for bit in bits)
         seen.extend(bits.tolist())
@@ -285,7 +314,7 @@ def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
     directory = bin_removal(db, 6, RngSpec(14))
     cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
     # lengthen the packet node 1 cancels with bits node 1 does store
-    key = directory.box_labels().index(RemovalBoxLabel(4, (2, 3), 5))
+    key = directory.key_of(RemovalBoxLabel(4, (2, 3), 5))
     extra = np.setdiff1d(node_contents(db, 1), directory.box_bits)[: cw.payload_bits + 5]
     offsets = directory.offsets.copy()
     offsets[key + 1 :] += extra.size
@@ -417,7 +446,7 @@ def test_each_box_in_exactly_one_codeword():
     codewords = encode_removal(db, directory)
     seen = [label for cw in codewords for label, _ in cw.constituents]
     assert len(seen) == len(set(seen))
-    assert set(seen) == set(directory.box_labels())
+    assert set(seen) == set(directory.labels)
 
 
 def test_packet_bits_rejects_malformed_labels():
@@ -523,29 +552,36 @@ def test_records_built_a_slice_of_rows_at_a_time_equal_one_slice(monkeypatch, ro
     assert list(map(key, encode_removal(db, directory))) == whole
 
 
+def with_new_sets(directory, new_set):
+    """A copy of ``directory`` whose table sends every box's bits to ``new_set``."""
+    tampered = replace(directory)
+    tampered.table = directory.table.copy()
+    tampered.table["new_set"] = new_set
+    return tampered
+
+
 def test_commit_rejects_a_box_set_outside_the_new_support():
     db = build_database(6, 3, 2000, RngSpec(5))
-    directory = bin_removal(db, 6, RngSpec(5))
-    box_sets = [(1, 2, 3)] * (directory.offsets.size - 1)
-    directory.commit(directory.survivors, box_sets)  # every box set is in the new support
-    box_sets[int(np.flatnonzero(np.diff(directory.offsets))[0])] = (1, 2, 6)
+    directory = with_new_sets(bin_removal(db, 6, RngSpec(5)), (1, 2, 3))
+    directory.commit()  # every box set is in the new support
+    directory.table["new_set"][int(np.flatnonzero(np.diff(directory.offsets))[0])] = (1, 2, 6)
     with pytest.raises(RebalanceError):
-        directory.commit(directory.survivors, box_sets)
+        directory.commit()
 
 
 def test_commit_rejects_a_stay_set_that_lost_a_node():
     db = build_database(6, 3, 2000, RngSpec(5))
-    directory = bin_removal(db, 6, RngSpec(5))
-    box_sets = [(1, 2, 3)] * (directory.offsets.size - 1)
-    directory.commit(directory.survivors, box_sets)
+    directory = with_new_sets(bin_removal(db, 6, RngSpec(5)), (1, 2, 3))
+    directory.commit()
     # the first bit of the last box is stored at node 6 but dropped from the
     # binned bits, so it keeps a set that names the removed node
     offsets = directory.offsets.copy()
     start = int(offsets[np.flatnonzero(np.diff(offsets))[-1]])
     offsets[offsets > start] -= 1
     unbinned = replace(directory, box_bits=np.delete(directory.box_bits, start), offsets=offsets)
+    unbinned.table = directory.table
     with pytest.raises(RebalanceError):
-        unbinned.commit(directory.survivors, box_sets)
+        unbinned.commit()
 
 
 # apply_removal_rebalance builds the new placement on a second thread while
@@ -589,7 +625,7 @@ def test_a_failed_membership_scan_joins_the_code_draw(monkeypatch):
 
 
 def failing_commit(delay):
-    def commit(self, new_nodes, box_sets):
+    def commit(self):
         time.sleep(delay)
         raise RebalanceError("the commit failed")
 
@@ -644,7 +680,8 @@ def test_apply_equals_serial_bin_encode_and_commit(monkeypatch):
     # a box's bits keep the survivors outside its remainder
     box_sets = [tuple(n for n in directory.survivors if n not in label.remainder)
                 for label in directory.labels]
-    placement = directory.commit(directory.survivors, box_sets)
+    assert list(map(tuple, directory.table["new_set"].tolist())) == box_sets
+    placement = directory.commit()
     assert new_db.file is db.file
     assert new_db.nodes == placement.nodes == (1, 2, 3, 4, 5)
     assert new_db.placement.support == placement.support
