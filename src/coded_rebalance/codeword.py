@@ -85,9 +85,9 @@ class BoxDirectory:
     the one per-bit array kept, narrow (``index_dtype`` of the last file
     bit); ``packet_bits`` returns intp.
 
-    Two facts about the boxes are derived once, on first use: ``box_set``,
-    the support set each box's bits share, and ``box_values``, the file's
-    values in ``box_bits`` order, from which packets are sliced.
+    ``per_bit`` walks ``box_bits`` in box order with a per-key fact spread
+    over the bits; ``box_values``, the file's values in ``box_bits`` order,
+    from which packets are sliced, is gathered once per file.
 
     Each subclass states its box layout once, in ``table``: per box key,
     its codeword's ``sender`` and ``group`` and its bits' ``new_set``. From
@@ -130,28 +130,17 @@ class BoxDirectory:
         if the label names no box of this directory."""
         return self.box_bits[self.span(self.key_of(label))].astype(np.intp)
 
-    @cached_property
-    def box_set(self) -> np.ndarray:
-        """Per box key, the support set index that all of the box's bits
-        share; -1 for an empty box or one that mixes sets."""
-        filled = np.flatnonzero(np.diff(self.offsets))
-        starts = self.offsets[filled]
-        low = np.full(filled.size, np.iinfo(np.int64).max)
-        high = np.full(filled.size, -1)
-        # Gathered a chunk of box_bits at a time; a box that straddles a
-        # chunk boundary takes the min and max of its pieces.
+    def per_bit(self, per_key: np.ndarray):
+        """Walk ``box_bits`` in box order, a ``CHUNK`` at a time: yields each
+        chunk's start, its bits and, per bit, its box's entry of ``per_key``
+        (in ``per_key``'s dtype)."""
         for begin in range(0, self.box_bits.size, CHUNK):
-            sets = np.take(self.placement.set_index, self.box_bits[begin : begin + CHUNK])
-            first = np.searchsorted(starts, begin, side="right") - 1
-            boxes = np.arange(first, np.searchsorted(starts, begin + sets.size))
-            pieces = np.maximum(starts[boxes] - begin, 0)
-            np.minimum.at(low, boxes, np.minimum.reduceat(sets, pieces))
-            np.maximum.at(high, boxes, np.maximum.reduceat(sets, pieces))
-        out = np.full(self.offsets.size - 1, -1, dtype=np.int64)
-        same = low == high
-        out[filled[same]] = low[same]
-        out.flags.writeable = False
-        return out
+            bits = self.box_bits[begin : begin + CHUNK]
+            # Boxes first..last-1 overlap this chunk, by these many bits.
+            first = np.searchsorted(self.offsets, begin, side="right") - 1
+            last = np.searchsorted(self.offsets, begin + bits.size)
+            sizes = np.diff(np.clip(self.offsets[first : last + 1], begin, begin + bits.size))
+            yield begin, bits, np.repeat(per_key[first:last], sizes)
 
     def box_values(self, file: FileInstance) -> np.ndarray:
         """``file.values[box_bits]``, read-only: box ``k``'s packet is
@@ -233,13 +222,8 @@ class BoxDirectory:
         runs = [lookup.get(s, unmapped) for s in map(tuple, new_sets[starts].tolist())]
         box_table = np.array(runs, dtype=dtype)[np.cumsum(starts) - 1]
         new_index = gather(stay_table, place.set_index)
-        for begin in range(0, self.box_bits.size, CHUNK):
-            bits = self.box_bits[begin : begin + CHUNK]
-            # In box order: boxes first..last-1 overlap this chunk, by these many bits.
-            first = np.searchsorted(self.offsets, begin, side="right") - 1
-            last = np.searchsorted(self.offsets, begin + bits.size)
-            sizes = np.diff(np.clip(self.offsets[first : last + 1], begin, begin + bits.size))
-            new_index[bits] = np.repeat(box_table[first:last], sizes)
+        for _, bits, new_sets in self.per_bit(box_table):
+            new_index[bits] = new_sets
         if new_index.max(initial=0) >= unmapped:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
         return PlacementMap(self.new_nodes, place.replication, new_support, new_index)

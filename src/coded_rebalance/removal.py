@@ -76,13 +76,17 @@ class BinDirectoryRemoval(BoxDirectory):
     @cached_property
     def table(self) -> np.ndarray:
         """Per box key: ``target``; the holder, as ``sender``; the remainder,
-        as ``group``; and the holders plus the target, as ``new_set``."""
-        r, node = self.placement.replication, index_dtype(max(self.placement.nodes))
+        as ``group``; the support index of the class's stored set, as
+        ``set``; and the holders plus the target, as ``new_set``."""
+        place = self.placement
+        r, node = place.replication, index_dtype(max(place.nodes))
         cls = np.array(self.classes, dtype=node)
         holders = np.array([[n for n in self.survivors if n not in c] for c in self.classes], node)
         table = np.empty((*cls.shape, r - 1), [("target", node), ("sender", node),
-                         ("group", node, (cls.shape[1] - 1,)), ("new_set", node, (r,))])
+                         ("group", node, (cls.shape[1] - 1,)),
+                         ("set", index_dtype(len(place.support))), ("new_set", node, (r,))])
         table["target"], table["sender"] = cls[:, :, None], holders[:, None, :]
+        table["set"] = np.flatnonzero(place.support_membership(self.removed_node))[:, None, None]
         for t in range(cls.shape[1]):
             table["group"][:, t] = np.delete(cls, t, axis=1)[:, None]
             table["new_set"][:, t] = np.sort(np.c_[holders, cls[:, t]], axis=1)[:, None]
@@ -92,6 +96,17 @@ class BinDirectoryRemoval(BoxDirectory):
     def box_targets(self) -> np.ndarray:
         """The survivor each box's bits move to, by key, as intp."""
         return self.table["target"].astype(np.intp)
+
+    @cached_property
+    def misplaced(self) -> np.ndarray:
+        """Per box key, read-only: whether a bit of the box lies outside its ``set``."""
+        out = np.zeros(len(self.table), dtype=bool)
+        for start, bits, sets in self.per_bit(self.table["set"]):
+            # Keys are searched for the wrong bits only, not for every bit.
+            wrong = start + np.flatnonzero(np.take(self.placement.set_index, bits) != sets)
+            out[np.searchsorted(self.offsets, wrong, side="right") - 1] = True
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def labels(self) -> tuple[RemovalBoxLabel, ...]:
@@ -217,16 +232,12 @@ def decode_removal(
     The node XORs away the constituents it already stores and truncates the
     result to the demanded packet's true length. Returns the packet's bit
     indices and recovered values. Raises ``DecodeVerificationError`` if a
-    cancelled packet is longer than the payload or its bits do not all lie
-    in one support set that the node stores: a node cannot use side
-    information it does not hold, and a removal box holds bits of one
-    stored set only.
+    constituent's stated length is not its box's size or exceeds the
+    payload, or a cancelled box has bits outside its table ``set`` or the
+    node does not store that set: a node cannot use side information it
+    does not hold, and a removal box holds bits of one stored set only.
     """
-    demanded = None
-    for label, true_len in codeword.constituents:
-        if label.target == node:
-            demanded = (label, true_len)
-            break
+    demanded = next((label for label, _ in codeword.constituents if label.target == node), None)
     if demanded is None:
         raise NotARecipient(f"node {node} demands no packet of this codeword")
 
@@ -235,39 +246,44 @@ def decode_removal(
     values = directory.box_values(db.file)
     acc = codeword.payload.copy()
     for label, true_len in codeword.constituents:
-        if label.target == node:
-            continue
         key = directory.key_of(label)
         packet = values[directory.span(key)]
-        box_set = directory.box_set[key]
-        if packet.size > acc.size or (packet.size and (box_set < 0 or not held[box_set])):
+        if packet.size != true_len or true_len > acc.size:
             raise DecodeVerificationError(
-                f"node {node} cannot cancel box {label}: bits outside its store, "
-                "in mixed sets or past the payload"
+                f"node {node} cannot decode box {label}: {packet.size} bits, "
+                f"stated {true_len}, in a payload of {acc.size}"
+            )
+        if label.target == node:
+            continue
+        if packet.size and (directory.misplaced[key] or not held[directory.table["set"][key]]):
+            raise DecodeVerificationError(
+                f"node {node} cannot cancel box {label}: bits outside its store "
+                "or outside the box's set"
             )
         acc[: packet.size] ^= packet
-    label, true_len = demanded
-    return directory.packet_bits(label), acc[:true_len]
+    bits = directory.packet_bits(demanded)  # as long as its constituent states
+    return bits, acc[: bits.size]
 
 
 def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
-    """Raise ``DecodeVerificationError`` unless every recipient cancels only
-    bits it stores: every box it cancels is empty or holds bits of one
-    support set it stores."""
-    rows = directory.rows
-    sets = directory.box_set[rows]
-    place = db.placement
+    """Raise ``DecodeVerificationError`` unless every node that uses a box,
+    each recipient that cancels it and its sender, stores the box's ``set``,
+    and every box holds bits of that set only."""
+    rows, place = directory.rows, db.placement
     held = np.stack([place.support_membership(n) for n in place.nodes])
-    recipient = np.searchsorted(place.nodes, directory.box_targets[rows])
+    # Per row, its users: the recipient of each box, then the row's sender.
+    users = np.searchsorted(place.nodes, np.c_[directory.box_targets[rows],
+                                               directory.table["sender"][rows[:, 0]]])
     filled = np.diff(directory.offsets)[rows] > 0
-    cancels = filled[:, None, :] & ~np.eye(rows.shape[1], dtype=bool)  # recipient i, box j
-    stored = (sets >= 0)[:, None, :] & held[recipient[:, :, None], sets[:, None, :]]
-    bad = np.argwhere(cancels & ~stored)
+    uses = filled[:, None, :] & ~np.eye(users.shape[1], rows.shape[1], dtype=bool)  # user i, box j
+    sets = directory.table["set"][rows]
+    stored = ~directory.misplaced[rows][:, None, :] & held[users[:, :, None], sets[:, None, :]]
+    bad = np.argwhere(uses & ~stored)
     if bad.size:
         row, i, j = bad[0]
         raise DecodeVerificationError(
-            f"node {place.nodes[recipient[row, i]]} cannot cancel box "
-            f"{directory.labels[rows[row, j]]}: bits outside its store or in mixed sets"
+            f"node {place.nodes[users[row, i]]} cannot {'send' if i == rows.shape[1] else 'cancel'} "
+            f"box {directory.labels[rows[row, j]]}: bits outside its store or outside the box's set"
         )
 
 

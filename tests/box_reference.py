@@ -13,10 +13,11 @@ from itertools import combinations
 def removal_boxes(nodes, removed_node, replication):
     """Every box of removing ``removed_node``: by class (the survivors
     missing a support set with the removed node, in support order), then
-    target in the class, then holder."""
+    target in the class, then holder. A box's ``set`` is the index of that
+    support set, the one its bits lie in."""
     survivors = [n for n in nodes if n != removed_node]
     boxes = []
-    for stored in combinations(sorted(nodes), replication):
+    for index, stored in enumerate(combinations(sorted(nodes), replication)):
         if removed_node not in stored:
             continue
         cls = tuple(n for n in survivors if n not in stored)
@@ -25,7 +26,8 @@ def removal_boxes(nodes, removed_node, replication):
             remainder = tuple(n for n in cls if n != target)
             new_set = tuple(n for n in survivors if n not in remainder)
             for holder in holders:
-                boxes.append(dict(target=target, sender=holder, group=remainder, new_set=new_set))
+                boxes.append(dict(target=target, sender=holder, group=remainder, set=index,
+                                  new_set=new_set))
     return boxes
 
 

@@ -1,6 +1,7 @@
 """Load reports, packet-size laws, uniformity checks, and the max bound."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from coded_rebalance import (
     addition_load,
     apply_addition_rebalance,
     apply_removal_rebalance,
+    bin_addition,
+    bin_removal,
     binomial_max_bound,
     build_database,
     full_support,
@@ -81,6 +84,61 @@ def test_empirical_packet_sizes_match_law():
     assert len(sizes) == law.num_packets
     standard_error = law.std / math.sqrt(len(sizes))
     assert abs(np.mean(sizes) - law.mean) <= 3 * standard_error
+
+
+# ---------------------------------------------------------------- binning law
+
+def expected_max_binomial(n, p, m):
+    """E[max of m iid Binomial(n, p)] = sum over k >= 0 of 1 - P(X <= k)^m.
+
+    The pmf comes from the ratio P(k+1)/P(k) = (n-k)/(k+1) * p/(1-p),
+    summed in logs from P(0) = (1-p)^n, which underflows as a float.
+    """
+    k = np.arange(n)
+    log_ratios = np.log((n - k) / (k + 1) * (p / (1 - p)))
+    log_pmf = n * math.log1p(-p) + np.concatenate(([0.0], np.cumsum(log_ratios)))
+    cdf = np.cumsum(np.exp(log_pmf))[:-1]  # P(X <= n) is 1
+    return float(np.sum(1 - np.minimum(cdf, 1) ** m))
+
+
+@pytest.mark.parametrize("n,p,m", [(1, 0.5, 2), (5, 0.3, 3), (7, 0.9, 2), (6, 0.2, 1)])
+def test_expected_max_binomial_equals_a_brute_force_sum(n, p, m):
+    pmf = [math.comb(n, x) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
+    brute = sum(math.prod(pmf[x] for x in xs) * max(xs) for xs in product(range(n + 1), repeat=m))
+    assert math.isclose(expected_max_binomial(n, p, m), brute, rel_tol=1e-9)
+    assert expected_max_binomial(n, p, m) <= binomial_max_bound(n, p, m) + 1e-9
+
+
+def mean_and_standard_error(samples):
+    return np.mean(samples), np.std(samples, ddof=1) / math.sqrt(len(samples))
+
+
+def test_mean_removal_padding_equals_the_exact_expectation():
+    # Each codeword pads its r - 1 packets, Binomial(F, q) each, to the
+    # longest: E[padding] = E[max] - Fq per codeword (the packets are
+    # treated as independent; their correlation, -q/(1-q), is under 1%).
+    # A binning draw that is biased or correlated between boxes keeps
+    # replication exact but moves this mean.
+    K, r, F, trials = 6, 3, 10**5, 400
+    law = packet_size_law(K, r, F, "removal")
+    codewords = law.num_packets // (r - 1)
+    exact = codewords * (expected_max_binomial(F, law.probability, r - 1) - law.mean)
+    padding = []
+    for trial in range(trials):
+        spec = RngSpec(7, trial)
+        directory = bin_removal(build_database(K, r, F, spec), K, spec)
+        sizes = np.diff(directory.offsets)[directory.rows]
+        padding.append(sizes.max(axis=1).sum() - sizes.sum() / (r - 1))
+    mean, standard_error = mean_and_standard_error(padding)
+    assert abs(mean - exact) <= 5 * standard_error
+
+
+def test_mean_moved_bits_of_an_addition_equals_f_r_over_k_plus_1():
+    K, r, F, trials = 6, 3, 10**5, 400
+    db = build_database(K, r, F, RngSpec(7))
+    moved = [len(bin_addition(db, RngSpec(7, trial)).box_bits) for trial in range(trials)]
+    mean, standard_error = mean_and_standard_error(moved)
+    assert abs(mean - F * r / (K + 1)) <= 5 * standard_error
 
 
 # ---------------------------------------------------------------- load report

@@ -279,22 +279,23 @@ def test_a_tampered_directory_fails_apply_and_leaves_database_unchanged(monkeypa
     assert np.array_equal(db.file.values, values)
 
 
-def per_box_sets(directory):
-    """Reference for ``box_set``: one box at a time."""
-    out = []
-    for k in range(directory.offsets.size - 1):
-        sets = np.unique(directory.placement.set_index[directory.box_bits[directory.span(k)]])
-        out.append(int(sets[0]) if sets.size == 1 else -1)
-    return out
+def per_box_misplaced(directory):
+    """Reference for ``misplaced``: one box at a time."""
+    sets = directory.table["set"]
+    return [
+        bool(np.any(directory.placement.set_index[directory.box_bits[directory.span(k)]] != sets[k]))
+        for k in range(directory.offsets.size - 1)
+    ]
 
 
 @pytest.mark.parametrize("K,r,F,node", [(6, 3, 300_000, 2), (7, 4, 3000, 7), (6, 3, 40, 6)])
-def test_box_set_matches_a_per_box_reference(K, r, F, node):
+def test_misplaced_matches_a_per_box_reference(K, r, F, node):
     # 300 000 bits give about 150 000 affected bits: several chunks, with
     # boxes straddling chunk boundaries; 40 bits leave most boxes empty
     db = build_database(K, r, F, RngSpec(90))
     directory = bin_removal(db, node, RngSpec(90))
-    assert directory.box_set.tolist() == per_box_sets(directory)
+    assert directory.misplaced.tolist() == per_box_misplaced(directory)
+    assert not directory.misplaced.any() and not directory.misplaced.flags.writeable
     # a bit outside the removed node's store lies in another set than any
     # box; put it first in each box that straddles a chunk boundary, and
     # in the largest box
@@ -305,8 +306,32 @@ def test_box_set_matches_a_per_box_reference(K, r, F, node):
         box_bits = directory.box_bits.copy()
         box_bits[pos] = outside
         tampered = replace(directory, box_bits=box_bits)
-        assert tampered.box_set.tolist() == per_box_sets(tampered)
-        assert np.sum(tampered.box_set < 0) == np.sum(directory.box_set < 0) + 1
+        assert tampered.misplaced.tolist() == per_box_misplaced(tampered)
+        assert np.sum(tampered.misplaced) == 1
+
+
+def swap_bits_between_sets(db, directory):
+    """The directory with its first bit, in box order, swapped for the
+    first bit in box order that lies in another support set."""
+    sets = db.placement.set_index[directory.box_bits]
+    other = np.flatnonzero(sets != sets[0])[0]
+    box_bits = directory.box_bits.copy()
+    box_bits[[0, other]] = box_bits[[other, 0]]
+    return replace(directory, box_bits=box_bits)
+
+
+def test_a_box_no_recipient_cancels_is_checked_at_its_sender(monkeypatch):
+    # at r = 2 each codeword carries one box, which no recipient cancels
+    db = build_database(4, 2, 9000, RngSpec(3))
+    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+    honest_bin = removal.bin_removal
+    monkeypatch.setattr(removal, "bin_removal",
+                        lambda db_, node, rng: swap_bits_between_sets(db_, honest_bin(db_, node, rng)))
+    with pytest.raises(DecodeVerificationError, match="node . cannot send box"):
+        apply_removal_rebalance(db, 4, RngSpec(3))
+    assert db.nodes == (1, 2, 3, 4)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.values, values)
 
 
 def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
@@ -322,6 +347,32 @@ def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
     tampered = replace(directory, box_bits=box_bits, offsets=offsets)
     with pytest.raises(DecodeVerificationError, match="node 1 .*box"):
         decode_removal(1, cw, db, tampered)
+
+
+def test_decode_rejects_a_demanded_packet_longer_than_the_payload():
+    db = build_database(6, 3, 9000, RngSpec(14))
+    directory = bin_removal(db, 6, RngSpec(14))
+    cw = encode_removal(db, directory)[0]
+    assert [n for _, n in cw.constituents] == [66, 80]
+    label = cw.constituents[1][0]  # the longest packet ends in the payload's last bit
+    bits, values = decode_removal(label.target, cw, db, directory)
+    assert bits.size == values.size == 80
+    short = replace(cw, payload=cw.payload[:-1])
+    with pytest.raises(DecodeVerificationError, match=f"node {label.target} .*box"):
+        decode_removal(label.target, short, db, directory)
+
+
+@pytest.mark.parametrize("demanded", [True, False], ids=["demanded", "cancelled"])
+def test_decode_rejects_a_stated_length_unlike_the_box(demanded):
+    db = build_database(6, 3, 9000, RngSpec(14))
+    directory = bin_removal(db, 6, RngSpec(14))
+    cw = encode_removal(db, directory)[0]
+    (label, length), *rest = cw.constituents
+    node = label.target if demanded else rest[0][0].target
+    misstated = replace(cw, constituents=((label, length - 1), *rest))
+    decode_removal(node, cw, db, directory)
+    with pytest.raises(DecodeVerificationError, match=f"node {node} .*box"):
+        decode_removal(node, misstated, db, directory)
 
 
 def flip_a_payload_bit(codewords):
