@@ -24,7 +24,7 @@ from .analysis import (
     removal_load,
     uniformity_check,
 )
-from .codeword import Codeword
+from .codeword import Codeword, Schedule
 from .database import (
     BalanceReport,
     Database,
@@ -96,6 +96,7 @@ __all__ = [
     "RemovalBoxLabel",
     "ReplicationOutOfRange",
     "RngSpec",
+    "Schedule",
     "SupportViolation",
     "TrialResult",
     "UnknownNode",

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_bits, packing
+from .codeword import BoxDirectory, Schedule, group_bits, packing
 from .database import CHUNK, Database, NodeSet, index_dtype
 from .exceptions import ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
@@ -145,19 +145,19 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     )
 
 
-def encode_addition(db: Database, directory: BinDirectoryAddition) -> list[Codeword]:
+def encode_addition(db: Database, directory: BinDirectoryAddition) -> Schedule:
     """Build every handoff of the addition schedule.
 
     One codeword per (sender, class) with the sender outside the class: the
     sender's move packet, uncoded, addressed to the new node. Empty packets
-    are emitted as zero-length records so the schedule length is always
+    keep their zero-length rows, so the schedule length is always
     K * C(K-1, K-r).
     """
     directory.check_placement(db)
-    return directory.codewords(db.file)
+    return directory.schedule(db.file)
 
 
-def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, list[Codeword]]:
+def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, Schedule]:
     """Run the full addition protocol and commit the new placement.
 
     The new node stores the union of all shipped packets; each sender
@@ -166,5 +166,5 @@ def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, list
     transmit-then-delete. Returns the new database and the schedule.
     """
     directory = bin_addition(db, rng)
-    codewords = encode_addition(db, directory)
-    return Database(directory.commit(), db.file), codewords
+    schedule = encode_addition(db, directory)
+    return Database(directory.commit(), db.file), schedule

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codeword import Codeword
+from .codeword import Schedule
 from .database import NodeSet, PlacementMap
 from .exceptions import (
     InvalidParameters,
@@ -148,7 +148,7 @@ def _bits_to_name(options: int) -> int:
 
 
 def removal_load(
-    codewords: Sequence[Codeword],
+    schedule: Schedule,
     num_nodes: int,
     replication: int,
     num_bits: int,
@@ -164,32 +164,31 @@ def removal_load(
     K, r, F = num_nodes, replication, num_bits
     law = packet_size_law(K, r, F, EVENT_REMOVAL)
     expected_count = r * comb(K - 1, K - r - 1)
-    if len(codewords) != expected_count:
+    if len(schedule) != expected_count:
         raise MismatchedParameters(
-            f"expected {expected_count} codewords for K={K}, r={r}, got {len(codewords)}"
+            f"expected {expected_count} codewords for K={K}, r={r}, got {len(schedule)}"
         )
-    total = sum(cw.payload_bits for cw in codewords)
-    realized = sum(length for cw in codewords for _, length in cw.constituents)
+    total, realized = schedule.payload.size, schedule.directory.box_bits.size
     normalizer = r * F / K
     bound = expected_count * binomial_max_bound(F, law.probability, r - 1) / normalizer
     boxes_per_class = (K - r) * (r - 1)
     return LoadReport(
         event=EVENT_REMOVAL,
         removed_node=removed_node,
-        total_transmitted_bits=int(total),
-        num_codewords=len(codewords),
+        total_transmitted_bits=total,
+        num_codewords=len(schedule),
         normalizer=normalizer,
         measured_load=total / normalizer,
-        realized_storage_bits=int(realized),
+        realized_storage_bits=realized,
         realized_load=total / realized if realized else 0.0,
         theoretical_asymptote=1.0 / (r - 1),
         finite_size_upper_bound=bound,
-        metadata_bits=int(realized) * _bits_to_name(boxes_per_class),
+        metadata_bits=realized * _bits_to_name(boxes_per_class),
     )
 
 
 def addition_load(
-    codewords: Sequence[Codeword], num_nodes: int, replication: int, num_bits: int
+    schedule: Schedule, num_nodes: int, replication: int, num_bits: int
 ) -> LoadReport:
     """Load report for an addition schedule.
 
@@ -200,20 +199,20 @@ def addition_load(
     K, r, F = num_nodes, replication, num_bits
     packet_size_law(K, r, F, EVENT_ADDITION)
     expected_count = K * comb(K - 1, K - r)
-    if len(codewords) != expected_count:
+    if len(schedule) != expected_count:
         raise MismatchedParameters(
-            f"expected {expected_count} codewords for K={K}, r={r}, got {len(codewords)}"
+            f"expected {expected_count} codewords for K={K}, r={r}, got {len(schedule)}"
         )
-    total = sum(cw.payload_bits for cw in codewords)
+    total = schedule.payload.size
     normalizer = r * F / (K + 1)
     return LoadReport(
         event=EVENT_ADDITION,
         removed_node=None,
-        total_transmitted_bits=int(total),
-        num_codewords=len(codewords),
+        total_transmitted_bits=total,
+        num_codewords=len(schedule),
         normalizer=normalizer,
         measured_load=total / normalizer,
-        realized_storage_bits=int(total),
+        realized_storage_bits=total,
         realized_load=1.0 if total else 0.0,
         theoretical_asymptote=1.0,
         finite_size_upper_bound=None,

@@ -1,7 +1,8 @@
-"""Broadcast records and the box directory shared by both rebalancing protocols."""
+"""Broadcast records, schedules and the box directory both rebalancing protocols share."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,9 +19,6 @@ from .database import (
     index_dtype,
 )
 from .exceptions import DirectoryMismatch, InvalidLabel, RebalanceError
-
-# How many schedule rows `BoxDirectory.codewords` turns into Python ints at a time.
-ROW_SLICE = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,35 @@ class Codeword:
     @property
     def payload_bits(self) -> int:
         return int(self.payload.size)
+
+    def __eq__(self, other):
+        if not isinstance(other, Codeword):
+            return NotImplemented
+        heads = (self.sender, self.group, self.constituents)
+        return heads == (other.sender, other.group, other.constituents) and np.array_equal(
+            self.payload, other.payload)
+
+
+class Schedule(Sequence):
+    """A protocol's broadcasts, one per row of ``directory.rows``: row ``i``'s
+    payload is ``payload[starts[i]:starts[i + 1]]``, and ``schedule[i]``
+    builds its ``Codeword`` (a slice, a list of them) and keeps none."""
+
+    def __init__(self, directory: BoxDirectory, payload: np.ndarray, starts: np.ndarray):
+        self.directory, self.payload, self.starts = directory, payload, starts
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i, d = range(len(self))[i], self.directory
+        row = d.rows[i]
+        head, sizes = d.table[row[0]], (d.offsets[row + 1] - d.offsets[row]).tolist()
+        return Codeword(int(head["sender"]), tuple(head["group"].tolist()),
+                        self.payload[self.starts[i] : self.starts[i + 1]],
+                        tuple(zip([d.labels[k] for k in row.tolist()], sizes)))
 
 
 def packing(num_bits: int, num_keys: int) -> tuple[int, np.dtype]:
@@ -108,11 +135,9 @@ class BoxDirectory:
 
     def shared_groups(self, size: int):
         """Per block of ``size`` keys with one group, in key order: the group
-        as one tuple, and the senders; ``ROW_SLICE`` blocks at a time."""
-        for first in range(0, len(self.table), size * ROW_SLICE):
-            part = self.table[first : first + size * ROW_SLICE]
-            yield from zip(map(tuple, part["group"][::size].tolist()),
-                           part["sender"].reshape(-1, size).tolist())
+        as one tuple, and the senders."""
+        return zip(map(tuple, self.table["group"][::size].tolist()),
+                   self.table["sender"].reshape(-1, size).tolist())
 
     @cached_property
     def _keys_by_label(self) -> dict:
@@ -161,32 +186,15 @@ class BoxDirectory:
         values = self.box_values(file)
         out = np.zeros(starts[-1], dtype=np.uint8)
         row, col = np.nonzero(sizes)  # the non-empty boxes, row by row
-        begins, lengths = self.offsets[rows[row, col]], sizes[row, col]
-        for start, begin, size in zip(starts[row].tolist(), begins.tolist(), lengths.tolist()):
+        at, begins, lengths = starts[row], self.offsets[rows[row, col]], sizes[row, col]
+        del sizes, row, col  # freed before the boxes become Python ints
+        for start, begin, size in zip(at.tolist(), begins.tolist(), lengths.tolist()):
             out[start : start + size] ^= values[begin : begin + size]
         return out, starts
 
-    def codewords(self, file: FileInstance) -> list[Codeword]:
-        """One codeword per row: the row's XOR, with each box's label and
-        true length, from its first box's sender to that box's group.
-        Payloads are views into one buffer. Rows and heads become Python
-        objects ``ROW_SLICE`` rows at a time, not all at once."""
-        payload, starts = self.row_xors(file, self.rows)
-        sizes, labels = np.diff(self.offsets).tolist(), self.labels
-        records = []
-        for first in range(0, len(self.rows), ROW_SLICE):
-            rows = self.rows[first : first + ROW_SLICE]
-            heads = self.table[rows[:, 0]]
-            shared = {}  # equal groups in a slice share one tuple
-            groups = [shared.setdefault(g, g) for g in map(tuple, heads["group"].tolist())]
-            bounds = starts[first : first + len(rows) + 1].tolist()
-            records += [
-                Codeword(sender, group, payload[begin:end],
-                         tuple((labels[k], sizes[k]) for k in row))
-                for sender, group, row, begin, end in zip(
-                    heads["sender"].tolist(), groups, rows.tolist(), bounds, bounds[1:])
-            ]
-        return records
+    def schedule(self, file: FileInstance) -> Schedule:
+        """One codeword per row of ``rows``, sent by its first box's sender."""
+        return Schedule(self, *self.row_xors(file, self.rows))
 
     def check_placement(self, db: Database) -> None:
         """Raise ``DirectoryMismatch`` unless ``db`` has the placement binned from.

@@ -43,9 +43,9 @@ EVENT_ADD = "add"
 DEFAULT_BITS = 10**6
 DEFAULT_TRIALS = {EVENT_REMOVE: 30, EVENT_ADD: 100}
 
-# The most support sets, and the most box keys, a configuration may enumerate
-# as Python tuples and labels. A removal trial at F=10^5 costs about 0.5 KB
-# and 10 us per box key (K=24, r=5: 672 980 keys, 346 MB peak RSS, 6.9 s).
+# The most support sets (Python tuples) and box keys (rows of per-key arrays)
+# a configuration may enumerate. A removal trial at F=10^5 costs about 0.17 KB
+# and 2 us per box key (K=24, r=5: 672 980 keys, 112 MB peak RSS, 1.0-1.3 s).
 MAX_ENUMERATED = 2**22
 
 
@@ -168,17 +168,15 @@ def _run_trial(config: ExperimentConfig, spec: RngSpec, support, db: Database,
     before = node_storage_counts(db)
 
     if config.event == EVENT_REMOVE:
-        new_db, codewords = apply_removal_rebalance(db, config.removed_node, spec)
-        report = removal_load(
-            codewords, config.num_nodes, config.replication, config.num_bits,
-            removed_node=config.removed_node,
-        )
+        new_db, schedule = apply_removal_rebalance(db, config.removed_node, spec)
+        report = removal_load(schedule, config.num_nodes, config.replication, config.num_bits,
+                              removed_node=config.removed_node)
         # exact per-run floor: padding can only add bits
         if report.total_transmitted_bits * (config.replication - 1) < report.realized_storage_bits:
             raise RebalanceError(f"trial {trial}: transmitted below the per-run floor")
     else:
-        new_db, codewords = apply_addition_rebalance(db, spec)
-        report = addition_load(codewords, config.num_nodes, config.replication, config.num_bits)
+        new_db, schedule = apply_addition_rebalance(db, spec)
+        report = addition_load(schedule, config.num_nodes, config.replication, config.num_bits)
 
     balance = verify_r_balanced(new_db, config.balance_tolerance)
     after = balance.node_loads

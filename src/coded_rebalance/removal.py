@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, group_bits, packing
+from .codeword import BoxDirectory, Codeword, Schedule, group_bits, packing
 from .database import CHUNK, Database, NodeSet, PlacementMap, in_background, index_dtype
 from .exceptions import DecodeVerificationError, NotARecipient, ReplicationOutOfRange, UnknownNode
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
@@ -212,16 +212,16 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     )
 
 
-def encode_removal(db: Database, directory: BinDirectoryRemoval) -> list[Codeword]:
+def encode_removal(db: Database, directory: BinDirectoryRemoval) -> Schedule:
     """Build every broadcast of the removal schedule.
 
     One codeword per (remainder set, sender): the XOR of the sender's r-1
     packets for the other group members, zero-padded to the longest. Empty
-    codewords are emitted as records so the schedule length is always
+    codewords keep their rows, so the schedule length is always
     r * C(K-1, K-r-1).
     """
     directory.check_placement(db)
-    return directory.codewords(db.file)
+    return directory.schedule(db.file)
 
 
 def decode_removal(
@@ -287,12 +287,12 @@ def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
         )
 
 
-def _check_payloads(db: Database, directory: BinDirectoryRemoval, codewords: list[Codeword]) -> None:
+def _check_payloads(db: Database, directory: BinDirectoryRemoval, schedule: Schedule) -> None:
     """Raise ``DecodeVerificationError`` unless every payload is its row's
     XOR, so a recipient that cancels the rest is left with its packet."""
-    rows = directory.rows
+    rows, starts = directory.rows, schedule.starts
     lengths = np.diff(directory.offsets)[rows].max(axis=1)
-    if [cw.payload_bits for cw in codewords] != lengths.tolist():
+    if schedule.payload.size != starts[-1] or not np.array_equal(np.diff(starts), lengths):
         raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
     # The XORs are recomputed a group of rows at a time, the rows whose
     # payloads end in the same CHUNK of the schedule, so no second buffer of
@@ -300,13 +300,13 @@ def _check_payloads(db: Database, directory: BinDirectoryRemoval, codewords: lis
     groups = np.flatnonzero(np.diff(np.cumsum(lengths) // CHUNK)) + 1
     for first, stop in zip([0, *groups.tolist()], [*groups.tolist(), len(rows)]):
         payload, _ = directory.row_xors(db.file, rows[first:stop])
-        if not np.array_equal(np.concatenate([cw.payload for cw in codewords[first:stop]]), payload):
+        if not np.array_equal(schedule.payload[starts[first] : starts[stop]], payload):
             raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
 
 
 def apply_removal_rebalance(
     db: Database, removed_node: int, rng: RngSpec
-) -> tuple[Database, list[Codeword]]:
+) -> tuple[Database, Schedule]:
     """Run the full removal protocol and commit the new placement.
 
     Bins, encodes, checks that every recipient decodes its packet from bits
@@ -332,9 +332,9 @@ def apply_removal_rebalance(
         # Cancellations are checked before encoding, so the check's gathers
         # do not peak on top of the schedule's payloads.
         _check_cancellations(db, directory)
-        codewords = encode_removal(db, directory)
-        _check_payloads(db, directory, codewords)
+        schedule = encode_removal(db, directory)
+        _check_payloads(db, directory, schedule)
     except BaseException:
         new_placement(drop=True)  # the check's error is the one reported
         raise
-    return Database(new_placement(), db.file), codewords
+    return Database(new_placement(), db.file), schedule

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from coded_rebalance import ExperimentConfig, emit_results, run_experiment
+from coded_rebalance import (
+    ExperimentConfig,
+    addition,
+    codeword,
+    emit_results,
+    removal,
+    run_experiment,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -39,6 +46,19 @@ def document(name: str, fmt: str) -> str:
 def test_emitted_bytes_match_golden(name, fmt):
     expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert document(name, fmt).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name", ["remove-r3", "add-r2"])
+def test_a_trial_builds_no_record_and_no_label(monkeypatch, name):
+    # Records and labels are for the edges; a trial reads the schedule's arrays.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial built a Codeword or a box label")
+
+    monkeypatch.setattr(codeword, "Codeword", refuse)
+    monkeypatch.setattr(removal, "RemovalBoxLabel", refuse)
+    monkeypatch.setattr(addition, "AdditionBoxLabel", refuse)
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    assert emit_results(run_experiment(CONFIGS[name]), "json").encode("utf-8") == expected
 
 
 if __name__ == "__main__":

@@ -134,15 +134,16 @@ def test_a_binned_directory_keeps_one_narrow_array_per_binned_bit():
 
 
 def test_encode_removal_peaks_at_most_16_bytes_per_box_key_above_what_it_keeps(traced):
-    # K=20, r=5: 232 560 box keys in 58 140 codewords. The records and labels
-    # stay; the rows become Python ints a slice at a time, not all at once
-    # beside the records (78 bytes per key above what is kept when they did).
+    # K=20, r=5: 232 560 box keys in 58 140 codewords. What is kept is the
+    # per-key table, the rows and the payloads; no record or label is built
+    # (about 310 bytes per key were kept when they were).
     db = build_database(20, 5, 10**5, RngSpec(1))
     directory = bin_removal(db, 20, RngSpec(1))
+    keys = directory.offsets.size - 1
     tracemalloc.reset_peak()
     start, _ = tracemalloc.get_traced_memory()
-    codewords = encode_removal(db, directory)
+    schedule = encode_removal(db, directory)
     kept, peak = tracemalloc.get_traced_memory()
-    assert len(codewords) == 58_140
-    assert peak - kept <= 16 * (directory.offsets.size - 1) + FIXED
-    assert kept - start > 20 * 10**6  # what is kept is most of the peak
+    assert len(schedule) == 58_140
+    assert peak - kept <= 16 * keys + FIXED
+    assert peak - start <= 64 * keys + FIXED

@@ -20,6 +20,7 @@ from coded_rebalance import (
     RemovalBoxLabel,
     ReplicationOutOfRange,
     RngSpec,
+    Schedule,
     UnknownNode,
     apply_removal_rebalance,
     bin_removal,
@@ -29,7 +30,7 @@ from coded_rebalance import (
     exclusive_group,
     node_contents,
 )
-from coded_rebalance import codeword, database, removal
+from coded_rebalance import database, removal
 from coded_rebalance.database import CHUNK
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
 
@@ -375,15 +376,17 @@ def test_decode_rejects_a_stated_length_unlike_the_box(demanded):
         decode_removal(node, misstated, db, directory)
 
 
-def flip_a_payload_bit(codewords):
-    next(c for c in codewords if c.payload_bits).payload[0] ^= 1
-    return codewords
+def flip_a_payload_bit(schedule):
+    payload = schedule.payload.copy()
+    payload[0] ^= 1  # the first bit of the first non-empty payload
+    return Schedule(schedule.directory, payload, schedule.starts)
 
 
-def truncate_a_payload(codewords):
-    i = next(i for i, c in enumerate(codewords) if c.payload_bits)
-    codewords[i] = replace(codewords[i], payload=codewords[i].payload[:-1])
-    return codewords
+def truncate_a_payload(schedule):
+    i = np.flatnonzero(np.diff(schedule.starts))[0]  # the first non-empty row
+    starts = schedule.starts.copy()
+    starts[i + 1 :] -= 1
+    return Schedule(schedule.directory, np.delete(schedule.payload, starts[i + 1]), starts)
 
 
 def test_flipped_payload_bit_fails_apply_and_leaves_database_unchanged(monkeypatch):
@@ -408,16 +411,16 @@ def test_a_flipped_bit_anywhere_in_the_schedule_fails_the_payload_check(K, r, F)
     # time: at K=6 many rows per group, at K=4 every row longer than a CHUNK.
     db = build_database(K, r, F, RngSpec(44))
     directory = bin_removal(db, K, RngSpec(44))
-    codewords = encode_removal(db, directory)
-    assert sum(cw.payload_bits for cw in codewords) > 2 * CHUNK
-    removal._check_payloads(db, directory, codewords)
-    for i, cw in enumerate(codewords):
-        for pos in (0, -1):
-            payload = cw.payload.copy()
-            payload[pos] ^= 1
-            flipped = [*codewords[:i], replace(cw, payload=payload), *codewords[i + 1 :]]
+    schedule = encode_removal(db, directory)
+    starts = schedule.starts
+    assert schedule.payload.size > 2 * CHUNK and np.all(np.diff(starts))
+    removal._check_payloads(db, directory, schedule)
+    for i in range(len(schedule)):
+        for at in (starts[i], starts[i + 1] - 1):  # both ends of row i's payload
+            payload = schedule.payload.copy()
+            payload[at] ^= 1
             with pytest.raises(DecodeVerificationError):
-                removal._check_payloads(db, directory, flipped)
+                removal._check_payloads(db, directory, Schedule(directory, payload, starts))
 
 
 def test_zero_length_codewords_are_recorded():
@@ -593,14 +596,15 @@ def test_a_placement_draw_split_at_chunk_boundaries_equals_one_whole_draw():
 
 
 @pytest.mark.parametrize("row_slice", [1, 7])
-def test_records_built_a_slice_of_rows_at_a_time_equal_one_slice(monkeypatch, row_slice):
+def test_records_built_a_slice_of_rows_at_a_time_equal_one_slice(row_slice):
     # 30 rows at K=6, r=3: slices of 7 leave a short last one
     db = build_database(6, 3, 3000, RngSpec(2))
-    directory = bin_removal(db, 6, RngSpec(2))
+    schedule = encode_removal(db, bin_removal(db, 6, RngSpec(2)))
     key = lambda cw: (cw.sender, cw.group, cw.constituents, cw.payload.tobytes())
-    whole = list(map(key, encode_removal(db, directory)))
-    monkeypatch.setattr(codeword, "ROW_SLICE", row_slice)
-    assert list(map(key, encode_removal(db, directory))) == whole
+    whole = list(map(key, schedule[:]))
+    assert len(whole) == 30
+    sliced = [cw for first in range(0, 30, row_slice) for cw in schedule[first : first + row_slice]]
+    assert list(map(key, sliced)) == whole
 
 
 def with_new_sets(directory, new_set):

@@ -8,9 +8,11 @@ members; addition ships, for every sender and every (K-r)-subset of the
 other nodes, that class's move packet.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coded_rebalance import (
@@ -117,3 +119,47 @@ def test_addition_schedule_equals_the_reference(instance):
         db = build_database(K, r, F, RngSpec(seed))
         directory = bin_addition(db, RngSpec(seed))
         assert fields(encode_addition(db, directory)) == reference_addition(db, directory)
+
+
+def removal_schedule():
+    # 30 rows at K=6, r=3; about 30 bits in 60 boxes leave some rows empty
+    db = build_database(6, 3, 60, RngSpec(3))
+    return encode_removal(db, bin_removal(db, 6, RngSpec(3)))
+
+
+def test_a_schedule_is_a_sequence_of_records_built_on_request():
+    schedule = removal_schedule()
+    assert len(schedule) == 30
+    records = [schedule[i] for i in range(len(schedule))]
+    assert list(schedule) == records
+    assert schedule[-1] == records[-1] and schedule[-30] == records[0]
+    # slices of 1 and 7 rows at a time: test_removal.py's slice test
+    assert schedule[:] == records and schedule[::7] == records[::7]
+    assert schedule[28:40] == records[28:]  # a short last slice
+    for past in (30, -31):
+        with pytest.raises(IndexError):
+            schedule[past]
+    for i, cw in enumerate(records):
+        assert type(cw.sender) is int and all(type(n) is int for n in cw.group)
+        assert all(type(n) is int for _, n in cw.constituents)
+        assert cw.payload.base is schedule.payload  # a view, not a copy
+        assert cw.payload_bits == schedule.starts[i + 1] - schedule.starts[i]
+    assert records[0] is not schedule[0]  # none is kept
+
+
+def test_records_compare_by_value():
+    schedule = removal_schedule()
+    again = removal_schedule()  # built from a database and directory of its own
+    empty = [i for i, cw in enumerate(schedule) if not cw.payload_bits]
+    full = next(i for i, cw in enumerate(schedule) if cw.payload_bits)
+    assert empty
+    assert schedule[full] == again[full] and schedule[empty[0]] == again[empty[0]]
+    payload = schedule[full].payload.copy()
+    payload[-1] ^= 1
+    assert replace(schedule[full], payload=payload) != schedule[full]
+    assert schedule[full] != schedule[empty[0]]
+    for k in (full, empty[0], len(schedule) - 1):
+        assert schedule.index(schedule[k]) == k
+    assert schedule.count(schedule[full]) == 1 and again[full] in schedule
+    with pytest.raises(TypeError):
+        hash(schedule[full])
