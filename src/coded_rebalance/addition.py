@@ -44,7 +44,6 @@ class BinDirectoryAddition(BoxDirectory):
     """
 
     new_node: int
-    classes: tuple[NodeSet, ...]
     codes: np.ndarray
 
     def __len__(self) -> int:
@@ -58,8 +57,10 @@ class BinDirectoryAddition(BoxDirectory):
     def table(self) -> np.ndarray:
         """Per box key: the holder, as ``sender``; its class, as ``group``; and
         its set less the sender plus the new node (the largest id), as ``new_set``."""
-        r, node = self.placement.replication, index_dtype(self.new_node)
-        support, cls = np.array(self.placement.support, node), np.array(self.classes, node)
+        place = self.placement
+        r, node = place.replication, index_dtype(self.new_node)
+        support, nodes = np.array(place.support, node), np.array(place.nodes, node)
+        cls = nodes[np.nonzero(~place.members.T)[1]].reshape(len(support), len(nodes) - r)
         table = np.empty(support.shape, [("sender", node), ("group", node, cls.shape[1:]),
                                          ("new_set", node, (r,))])
         table["sender"], table["group"] = support, cls[:, None, :]
@@ -107,7 +108,6 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     if r < 1 or r > num_nodes:
         raise ReplicationOutOfRange(f"addition needs 1 <= replication <= {num_nodes}")
 
-    classes = tuple(tuple(sorted(set(nodes) - set(s))) for s in place.support)
     # One whole int16 draw: chunked int16 draws differ from it, as numpy
     # buffers 16-bit draws within a call.
     codes = rng.generator(STREAM_ADDITION_BINNING).integers(
@@ -140,7 +140,6 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
         box_bits=box_bits,
         offsets=offsets,
         new_node=max(nodes) + 1,
-        classes=classes,
         codes=codes,
     )
 

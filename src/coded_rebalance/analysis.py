@@ -62,7 +62,7 @@ class DistributionCheck:
 
     @classmethod
     def from_counts(cls, support: Sequence[NodeSet], counts: Iterable[int]) -> "DistributionCheck":
-        support = tuple(tuple(int(n) for n in s) for s in support)
+        support = _node_sets(support, sort=False)
         counts = tuple(int(c) for c in counts)
         if len(counts) != len(support):
             raise InvalidParameters("one count per support set required")
@@ -97,6 +97,16 @@ class PacketSizeLaw:
     @property
     def std(self) -> float:
         return sqrt(self.variance)
+
+
+def _node_sets(support: Sequence[NodeSet], sort: bool) -> tuple[NodeSet, ...]:
+    """``support`` as a tuple of tuples of ints, each sorted if ``sort``: the
+    very object when it is one already, so the checks of a run share it."""
+    if type(support) is tuple and all(type(s) is tuple for s in support) and all(
+            type(n) is int for s in support for n in s) and (
+            not sort or all(list(s) == sorted(s) for s in support)):
+        return support
+    return tuple(tuple(sorted(map(int, s)) if sort else map(int, s)) for s in support)
 
 
 def binomial_max_bound(n: int, p: float, r_vars: int) -> float:
@@ -227,7 +237,7 @@ def uniformity_check(placement: PlacementMap, support: Sequence[NodeSet]) -> Dis
     rebalanced placement law would be violated, so a SupportViolation is
     raised rather than folded into the statistics.
     """
-    support = tuple(tuple(sorted(int(n) for n in s)) for s in support)
+    support = _node_sets(support, sort=True)
     lookup = {s: i for i, s in enumerate(support)}
     counts = np.zeros(len(support), dtype=np.int64)
     raw = placement.set_counts()

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -133,15 +134,14 @@ class PlacementMap:
     ``support[set_index[i]]`` is the node set storing bit ``i``. ``support``
     normally enumerates every replication-sized subset of ``nodes``, so a
     uniform placement is a uniform draw of ``set_index``, which is made
-    read-only at construction so the counts and masks derived from it
-    stay valid. Any integer dtype serves.
+    read-only at construction so the counts and the table derived from it
+    stay valid. Any integer dtype serves. ``nodes`` ascend.
     """
 
     nodes: NodeSet
     replication: int
     support: tuple[NodeSet, ...]
     set_index: np.ndarray
-    _memberships: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -169,19 +169,25 @@ class PlacementMap:
             self._counts = counts
         return self._counts
 
-    def support_membership(self, node: int) -> np.ndarray:
-        """Boolean mask over ``support``: which candidate sets contain ``node``.
+    @cached_property
+    def members(self) -> np.ndarray:
+        """``members[i, s]``, read-only: whether ``nodes[i]`` is in ``support[s]``.
+        A set's nodes outside ``nodes`` have no row; a node named twice counts once."""
+        sizes = np.fromiter(map(len, self.support), dtype=np.intp, count=len(self.support))
+        named = np.fromiter(chain.from_iterable(self.support), np.int64, int(sizes.sum()))
+        nodes = np.array(self.nodes, dtype=np.int64)
+        rows = np.searchsorted(nodes, named)  # as nodes ascend
+        known = np.take(nodes, rows, mode="clip") == named
+        members = np.zeros((nodes.size, sizes.size), dtype=bool)
+        members[rows[known], np.repeat(np.arange(sizes.size), sizes)[known]] = True
+        members.flags.writeable = False
+        return members
 
-        Computed once per node and returned read-only.
-        """
-        mask = self._memberships.get(node)
-        if mask is None:
-            mask = np.fromiter(
-                (node in s for s in self.support), dtype=bool, count=len(self.support)
-            )
-            mask.flags.writeable = False
-            self._memberships[node] = mask
-        return mask
+    def support_membership(self, node: int) -> np.ndarray:
+        """``node``'s row of ``members``; ``UnknownNode`` for a node outside ``nodes``."""
+        if node not in self.nodes:
+            raise UnknownNode(f"node {node} is not part of this placement")
+        return self.members[self.nodes.index(node)]
 
 
 @dataclass
@@ -309,21 +315,16 @@ def exclusive_group(db: Database, absent_nodes: Iterable[int]) -> np.ndarray:
 
 
 def node_contents(db: Database, node: int) -> np.ndarray:
-    """Ascending indices of the bits stored at ``node``."""
-    if node not in db.placement.nodes:
-        raise UnknownNode(f"node {node} is not part of this database")
+    """Ascending indices of the bits stored at ``node``; ``UnknownNode`` for a
+    node outside the database."""
     mask = db.placement.support_membership(node)
     return np.flatnonzero(gather(mask, db.placement.set_index))
 
 
 def node_storage_counts(db: Database) -> dict[int, int]:
     """Bits stored per node, keyed by node id."""
-    counts = db.placement.set_counts()
-    out: dict[int, int] = {}
-    for node in db.placement.nodes:
-        mask = db.placement.support_membership(node)
-        out[node] = int(counts[mask].sum())
-    return out
+    place = db.placement
+    return dict(zip(place.nodes, (place.members @ place.set_counts()).tolist()))
 
 
 def verify_r_balanced(db: Database, tolerance: float = 0.01) -> BalanceReport:
@@ -331,15 +332,14 @@ def verify_r_balanced(db: Database, tolerance: float = 0.01) -> BalanceReport:
     statistically.
 
     The replication check demands every bit's node set have exactly
-    ``replication`` members; offenders are listed. It looks at the support
-    sets that bits chose, and visits the bits only when one of those sets
-    has the wrong size. The storage check demands every node's load lie
-    within ``tolerance`` (relative) of the expected per-node load,
-    replication/num_nodes of the file.
+    ``replication`` distinct members among ``nodes``; offenders are listed.
+    It looks at the support sets that bits chose, and visits the bits only
+    when one of those sets has the wrong size. The storage check demands
+    every node's load lie within ``tolerance`` (relative) of the expected
+    per-node load, replication/num_nodes of the file.
     """
     place = db.placement
-    wrong_size = np.fromiter((len(s) != place.replication for s in place.support),
-                             dtype=bool, count=len(place.support))
+    wrong_size = place.members.sum(axis=0) != place.replication
     wrong_size &= place.set_counts() > 0
     offending = ()
     if wrong_size.any():

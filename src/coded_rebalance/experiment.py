@@ -44,8 +44,8 @@ DEFAULT_BITS = 10**6
 DEFAULT_TRIALS = {EVENT_REMOVE: 30, EVENT_ADD: 100}
 
 # The most support sets (Python tuples) and box keys (rows of per-key arrays)
-# a configuration may enumerate. A removal trial at F=10^5 costs about 0.17 KB
-# and 2 us per box key (K=24, r=5: 672 980 keys, 112 MB peak RSS, 1.0-1.3 s).
+# a configuration may enumerate. A removal trial at F=10^5 costs about 0.16 KB and
+# 1.5 us per box key (K=24, r=5: 672 980 keys, 106-111 MB peak RSS, 0.9-1.0 s).
 MAX_ENUMERATED = 2**22
 
 

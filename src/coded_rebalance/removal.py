@@ -64,7 +64,6 @@ class BinDirectoryRemoval(BoxDirectory):
 
     removed_node: int
     survivors: NodeSet
-    classes: tuple[NodeSet, ...]
 
     def __len__(self) -> int:
         return int(self.box_bits.size)
@@ -80,13 +79,16 @@ class BinDirectoryRemoval(BoxDirectory):
         ``set``; and the holders plus the target, as ``new_set``."""
         place = self.placement
         r, node = place.replication, index_dtype(max(place.nodes))
-        cls = np.array(self.classes, dtype=node)
-        holders = np.array([[n for n in self.survivors if n not in c] for c in self.classes], node)
+        member = place.support_membership(self.removed_node)
+        # Per class, by node: whether the node stores the class's set.
+        stored, nodes = place.members[:, member].T, np.array(place.nodes, dtype=node)
+        cls = nodes[np.nonzero(~stored)[1]].reshape(-1, len(nodes) - r)
+        holders = nodes[np.nonzero(stored & (nodes != self.removed_node))[1]].reshape(-1, r - 1)
         table = np.empty((*cls.shape, r - 1), [("target", node), ("sender", node),
                          ("group", node, (cls.shape[1] - 1,)),
                          ("set", index_dtype(len(place.support))), ("new_set", node, (r,))])
         table["target"], table["sender"] = cls[:, :, None], holders[:, None, :]
-        table["set"] = np.flatnonzero(place.support_membership(self.removed_node))[:, None, None]
+        table["set"] = np.flatnonzero(member)[:, None, None]
         for t in range(cls.shape[1]):
             table["group"][:, t] = np.delete(cls, t, axis=1)[:, None]
             table["new_set"][:, t] = np.sort(np.c_[holders, cls[:, t]], axis=1)[:, None]
@@ -160,10 +162,7 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     boxes_per_class = (num_nodes - r) * (r - 1)
 
     member = place.support_membership(removed_node)
-    classes = tuple(
-        tuple(n for n in nodes if n not in place.support[s]) for s in np.flatnonzero(member)
-    )
-    num_keys = len(classes) * boxes_per_class
+    num_keys = int(member.sum()) * boxes_per_class
     shift, word = packing(place.num_bits, num_keys)
     # First box key of each support set's class, packed; rows of sets
     # without the removed node are never read.
@@ -208,7 +207,6 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
         offsets=offsets,
         removed_node=removed_node,
         survivors=survivors,
-        classes=classes,
     )
 
 
@@ -270,7 +268,7 @@ def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
     each recipient that cancels it and its sender, stores the box's ``set``,
     and every box holds bits of that set only."""
     rows, place = directory.rows, db.placement
-    held = np.stack([place.support_membership(n) for n in place.nodes])
+    held = place.members
     # Per row, its users: the recipient of each box, then the row's sender.
     users = np.searchsorted(place.nodes, np.c_[directory.box_targets[rows],
                                                directory.table["sender"][rows[:, 0]]])

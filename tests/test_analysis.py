@@ -243,6 +243,15 @@ def test_uniformity_rejects_out_of_support_sets():
         uniformity_check(placement, support[1:])
 
 
+def test_uniformity_normalizes_unsorted_sets_and_numpy_ints():
+    support = full_support((1, 2, 3, 4), 2)
+    placement = PlacementMap((1, 2, 3, 4), 2, support, np.arange(12, dtype=np.int32) % 6)
+    check = uniformity_check(placement, [(b, np.int64(a)) for a, b in support])
+    assert check.support == support
+    assert all(type(n) is int for s in check.support for n in s)
+    assert uniformity_check(placement, support).support is support
+
+
 def test_distribution_check_statistics():
     check = DistributionCheck.from_counts(((1,), (2,)), (60, 40))
     assert check.expected_probability == 0.5

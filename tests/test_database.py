@@ -106,6 +106,13 @@ def test_node_contents_unknown_node():
         node_contents(db, 9)
 
 
+def test_support_membership_of_an_unknown_node_raises():
+    db = build_database(4, 2, 10, RngSpec(1))
+    assert db.placement.support_membership(2).tolist() == [True, False, False, True, True, False]
+    with pytest.raises(UnknownNode):
+        db.placement.support_membership(9)
+
+
 def test_build_determinism():
     a = build_database(6, 3, 500, RngSpec(77))
     b = build_database(6, 3, 500, RngSpec(77))
@@ -182,6 +189,16 @@ def test_verify_r_balanced_reports_truncated_bit():
     assert report.offending_bits == (17,)
 
 
+@pytest.mark.parametrize("wrong", [(1, 4), (1, 1)])
+def test_verify_r_balanced_reports_a_set_naming_an_unknown_or_repeated_node(wrong):
+    # each is two names long, but names fewer than two distinct nodes of the placement
+    place = PlacementMap((1, 2, 3), 2, ((1, 2), wrong), np.array([0, 1, 0], dtype=np.int32))
+    db = Database(place, FileInstance(3, np.zeros(3, np.uint8)))
+    report = verify_r_balanced(db, tolerance=1.0)
+    assert not report.replication_ok
+    assert report.offending_bits == (1,)
+
+
 @st.composite
 def placements_with_wrong_sized_sets(draw):
     """A full support plus up to four under- or over-sized sets, shuffled;
@@ -211,6 +228,7 @@ def test_verify_r_balanced_matches_the_per_bit_reference(db):
     sizes = np.array([len(s) for s in place.support])
     bad = sizes[place.set_index] != place.replication
     report = verify_r_balanced(db, tolerance=1.0)
+    assert place.members.tolist() == [[n in s for s in place.support] for n in place.nodes]
     assert report.replication_ok == (not bad.any())
     assert report.offending_bits == tuple(int(i) for i in np.flatnonzero(bad))
     for node, load in report.node_loads.items():

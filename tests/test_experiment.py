@@ -44,6 +44,13 @@ def test_single_trial_run_is_byte_reproducible():
     assert a.encode() == b.encode()
 
 
+def test_every_trial_shares_the_run_s_support():
+    result = run_experiment(remove_config())
+    support = result.pooled_uniformity.support
+    assert support == remove_config().expected_support()
+    assert all(t.distribution.support is support for t in result.trials)
+
+
 def test_different_seed_changes_results():
     a = emit_results(run_experiment(remove_config()))
     b = emit_results(run_experiment(remove_config(master_seed=6)))

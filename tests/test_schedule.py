@@ -49,6 +49,8 @@ def removal_keys(db, directory, spec):
 def reference_removal(db, directory, spec):
     r, survivors = db.replication, directory.survivors
     bits, keys = removal_keys(db, directory, spec)
+    # Each class's ordinal is that of its stored set among the removed node's.
+    stored_sets = [s for s in db.placement.support if directory.removed_node in s]
     schedule = []
     for ctx in combinations(survivors, len(db.nodes) - r - 1):
         members = [n for n in survivors if n not in ctx]
@@ -59,7 +61,8 @@ def reference_removal(db, directory, spec):
                     continue
                 cls = tuple(sorted((target, *ctx)))
                 holders = [n for n in survivors if n not in cls]
-                key = (directory.classes.index(cls) * len(cls) + cls.index(target)) * (r - 1)
+                stored = tuple(n for n in db.nodes if n not in cls)
+                key = (stored_sets.index(stored) * len(cls) + cls.index(target)) * (r - 1)
                 key += holders.index(sender)
                 packet = db.file.values[bits[keys == key]]
                 constituents.append((RemovalBoxLabel(target, ctx, sender), packet.size))
@@ -79,7 +82,7 @@ def reference_addition(db, directory):
     for sender in db.nodes:
         rest = [n for n in db.nodes if n != sender]
         for cls in combinations(rest, len(db.nodes) - r):
-            s = directory.classes.index(cls)
+            s = db.placement.support.index(tuple(n for n in db.nodes if n not in cls))
             key = s * r + db.placement.support[s].index(sender)
             payload = db.file.values[bits[keys == key]]
             label = AdditionBoxLabel(cls, sender)
