@@ -18,14 +18,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .addition import BinDirectoryAddition
 from .codeword import Schedule
-from .database import NodeSet, PlacementMap
+from .database import NodeSet, NodeSets, PlacementMap
 from .exceptions import (
     InvalidParameters,
     MismatchedParameters,
     ReplicationOutOfRange,
     SupportViolation,
 )
+from .removal import BinDirectoryRemoval
 
 EVENT_REMOVAL = "removal"
 EVENT_ADDITION = "addition"
@@ -62,7 +64,7 @@ class DistributionCheck:
 
     @classmethod
     def from_counts(cls, support: Sequence[NodeSet], counts: Iterable[int]) -> "DistributionCheck":
-        support = _node_sets(support, sort=False)
+        support = _node_sets(support)
         counts = tuple(int(c) for c in counts)
         if len(counts) != len(support):
             raise InvalidParameters("one count per support set required")
@@ -99,14 +101,11 @@ class PacketSizeLaw:
         return sqrt(self.variance)
 
 
-def _node_sets(support: Sequence[NodeSet], sort: bool) -> tuple[NodeSet, ...]:
-    """``support`` as a tuple of tuples of ints, each sorted if ``sort``: the
-    very object when it is one already, so the checks of a run share it."""
-    if type(support) is tuple and all(type(s) is tuple for s in support) and all(
-            type(n) is int for s in support for n in s) and (
-            not sort or all(list(s) == sorted(s) for s in support)):
-        return support
-    return tuple(tuple(sorted(map(int, s)) if sort else map(int, s)) for s in support)
+def _node_sets(support: Sequence[NodeSet]) -> NodeSets:
+    """``support`` as ``NodeSets``: the very object when it is one already,
+    so the checks of a run share the run's support without walking it."""
+    return support if type(support) is NodeSets else NodeSets(
+        tuple(sorted(map(int, s))) for s in support)
 
 
 def binomial_max_bound(n: int, p: float, r_vars: int) -> float:
@@ -157,6 +156,14 @@ def _bits_to_name(options: int) -> int:
     return max(0, options - 1).bit_length()
 
 
+def _check_schedule(schedule: Schedule, kind: type, K: int, r: int, F: int) -> None:
+    """``MismatchedParameters`` unless a ``kind`` directory binned ``schedule`` for (K, r, F)."""
+    d = schedule.directory
+    if (type(d), len(d.placement.nodes), d.placement.replication, d.placement.num_bits) != (
+            kind, K, r, F):
+        raise MismatchedParameters(f"not a schedule of {kind.__name__} for K={K}, r={r}, F={F}")
+
+
 def removal_load(
     schedule: Schedule,
     num_nodes: int,
@@ -178,6 +185,9 @@ def removal_load(
         raise MismatchedParameters(
             f"expected {expected_count} codewords for K={K}, r={r}, got {len(schedule)}"
         )
+    _check_schedule(schedule, BinDirectoryRemoval, K, r, F)
+    if removed_node not in (None, schedule.directory.removed_node):
+        raise MismatchedParameters(f"the schedule removed node {schedule.directory.removed_node}")
     total, realized = schedule.payload.size, schedule.directory.box_bits.size
     normalizer = r * F / K
     bound = expected_count * binomial_max_bound(F, law.probability, r - 1) / normalizer
@@ -213,6 +223,7 @@ def addition_load(
         raise MismatchedParameters(
             f"expected {expected_count} codewords for K={K}, r={r}, got {len(schedule)}"
         )
+    _check_schedule(schedule, BinDirectoryAddition, K, r, F)
     total = schedule.payload.size
     normalizer = r * F / (K + 1)
     return LoadReport(
@@ -237,16 +248,14 @@ def uniformity_check(placement: PlacementMap, support: Sequence[NodeSet]) -> Dis
     rebalanced placement law would be violated, so a SupportViolation is
     raised rather than folded into the statistics.
     """
-    support = _node_sets(support, sort=True)
+    support = _node_sets(support)
     lookup = {s: i for i, s in enumerate(support)}
     counts = np.zeros(len(support), dtype=np.int64)
     raw = placement.set_counts()
-    for s, stored in enumerate(placement.support):
-        c = int(raw[s])
-        if c == 0:
-            continue
+    for s in np.flatnonzero(raw).tolist():
+        stored = placement.support[s]
         pos = lookup.get(stored)
         if pos is None:
             raise SupportViolation(f"node set {stored} observed outside the expected support")
-        counts[pos] += c
+        counts[pos] += raw[s]
     return DistributionCheck.from_counts(support, counts)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .exceptions import InvalidParameters, UnknownNode
+from .exceptions import InvalidParameters, MismatchedParameters, UnknownNode
 from .rng import STREAM_PLACEMENT, STREAM_VALUES, RngSpec
 
 NodeSet = tuple[int, ...]
@@ -31,9 +31,13 @@ T = TypeVar("T")
 CHUNK = 1 << 16
 
 
-def full_support(nodes: Iterable[int], replication: int) -> tuple[NodeSet, ...]:
+class NodeSets(tuple):
+    """Node sets as ascending tuples of Python ints, made only by full_support and _node_sets."""
+
+
+def full_support(nodes: Iterable[int], replication: int) -> NodeSets:
     """All replication-sized node sets, in lexicographic order."""
-    return tuple(combinations(sorted(nodes), replication))
+    return NodeSets(combinations(sorted(map(int, nodes)), replication))
 
 
 def index_dtype(largest: int) -> np.dtype:
@@ -196,6 +200,10 @@ class Database:
 
     placement: PlacementMap
     file: FileInstance
+
+    def __post_init__(self) -> None:
+        if self.placement.num_bits != self.file.num_bits:
+            raise MismatchedParameters("the placement and the file differ in their number of bits")
 
     @property
     def nodes(self) -> NodeSet:

@@ -267,12 +267,13 @@ def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
     """Raise ``DecodeVerificationError`` unless every node that uses a box,
     each recipient that cancels it and its sender, stores the box's ``set``,
     and every box holds bits of that set only."""
-    rows, place = directory.rows, db.placement
+    sizes, place = np.diff(directory.offsets), db.placement
     held = place.members
+    rows = directory.rows[sizes[directory.rows].any(axis=1)]  # the codewords that carry a bit
     # Per row, its users: the recipient of each box, then the row's sender.
     users = np.searchsorted(place.nodes, np.c_[directory.box_targets[rows],
                                                directory.table["sender"][rows[:, 0]]])
-    filled = np.diff(directory.offsets)[rows] > 0
+    filled = sizes[rows] > 0
     uses = filled[:, None, :] & ~np.eye(users.shape[1], rows.shape[1], dtype=bool)  # user i, box j
     sets = directory.table["set"][rows]
     stored = ~directory.misplaced[rows][:, None, :] & held[users[:, :, None], sets[:, None, :]]

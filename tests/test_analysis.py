@@ -26,6 +26,7 @@ from coded_rebalance import (
     removal_load,
     uniformity_check,
 )
+from coded_rebalance.database import NodeSets
 
 
 # ---------------------------------------------------------------- max bound
@@ -210,6 +211,24 @@ def test_addition_load_rejects_wrong_codeword_count():
         addition_load(codewords[:5], K, r, F)
 
 
+def test_load_reports_reject_parameters_the_schedule_contradicts():
+    _, removal = apply_removal_rebalance(build_database(6, 3, 1000, RngSpec(6)), 6, RngSpec(6))
+    _, addition = apply_addition_rebalance(build_database(4, 2, 1000, RngSpec(9)), RngSpec(9))
+    contradicted = [
+        lambda: removal_load(removal, 6, 3, 500),
+        lambda: removal_load(removal, 7, 2, 1000),  # also 30 codewords
+        lambda: removal_load(removal, 6, 3, 1000, removed_node=2),
+        lambda: removal_load(addition, 5, 2, 1000),  # also 12 codewords
+        lambda: addition_load(addition, 4, 2, 10),
+        lambda: addition_load(removal, 30, 1, 1000),  # also 30 codewords
+    ]
+    for report in contradicted:
+        with pytest.raises(MismatchedParameters):
+            report()
+    assert removal_load(removal, 6, 3, 1000, removed_node=6).removed_node == 6
+    assert addition_load(addition, 4, 2, 1000).num_codewords == 12
+
+
 def test_addition_single_bit_load_dichotomy():
     # one bit either stays (load 0) or moves (load (K+1)/r)
     K, r = 4, 2
@@ -244,12 +263,19 @@ def test_uniformity_rejects_out_of_support_sets():
 
 
 def test_uniformity_normalizes_unsorted_sets_and_numpy_ints():
-    support = full_support((1, 2, 3, 4), 2)
+    support = full_support(np.array([4, 3, 2, 1]), 2)
     placement = PlacementMap((1, 2, 3, 4), 2, support, np.arange(12, dtype=np.int32) % 6)
     check = uniformity_check(placement, [(b, np.int64(a)) for a, b in support])
     assert check.support == support
     assert all(type(n) is int for s in check.support for n in s)
     assert uniformity_check(placement, support).support is support
+
+
+def test_distribution_check_normalizes_a_plain_tuple_into_node_sets():
+    check = DistributionCheck.from_counts(((2, 1), (np.int64(3), 1)), (1, 1))
+    assert type(check.support) is NodeSets
+    assert check.support == ((1, 2), (1, 3))
+    assert all(type(n) is int for s in check.support for n in s)
 
 
 def test_distribution_check_statistics():

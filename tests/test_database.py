@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from coded_rebalance import (
     FileInstance,
     InvalidParameters,
+    MismatchedParameters,
     PlacementMap,
     Database,
     RngSpec,
@@ -25,7 +26,7 @@ from coded_rebalance import (
     node_storage_counts,
     verify_r_balanced,
 )
-from coded_rebalance.database import CHUNK, in_background
+from coded_rebalance.database import CHUNK, NodeSets, in_background
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_VALUES
 
 
@@ -172,6 +173,21 @@ def test_verify_r_balanced_fresh_database():
     assert report.offending_bits == ()
     assert report.storage_ok
     assert report.passed
+
+
+def test_database_rejects_a_file_of_another_length():
+    place = build_database(4, 2, 1000, RngSpec(1)).placement
+    for bits in (500, 2000):
+        with pytest.raises(MismatchedParameters):
+            Database(place, FileInstance(bits, np.zeros(bits, np.uint8)))
+
+
+def test_full_support_is_node_sets_of_ascending_python_ints():
+    support = full_support(np.array([3, 1, 2]), 2)
+    assert type(support) is NodeSets
+    assert support == ((1, 2), (1, 3), (2, 3))
+    assert all(type(n) is int for s in support for n in s)
+    assert type(support + ((1, 2),)) is tuple  # concatenation keeps no promise
 
 
 def test_verify_r_balanced_reports_truncated_bit():

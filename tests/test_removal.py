@@ -335,6 +335,26 @@ def test_a_box_no_recipient_cancels_is_checked_at_its_sender(monkeypatch):
     assert np.array_equal(db.file.values, values)
 
 
+def misplace_a_bit_beside_an_empty_box(db, directory):
+    """The directory with the first bit of a box whose codeword also carries
+    an empty box swapped for a bit outside the removed node's store."""
+    sizes = np.diff(directory.offsets)[directory.rows]
+    key = directory.rows[(sizes > 0) & (sizes == 0).any(axis=1, keepdims=True)][0]
+    box_bits = directory.box_bits.copy()
+    box_bits[directory.offsets[key]] = np.setdiff1d(np.arange(db.num_bits), directory.box_bits)[0]
+    return replace(directory, box_bits=box_bits)
+
+
+def test_a_codeword_with_an_empty_box_is_checked(monkeypatch):
+    # 60 bits leave many boxes empty; the check skips only codewords with no bit
+    db = build_database(6, 3, 60, RngSpec(5))
+    honest_bin = removal.bin_removal
+    monkeypatch.setattr(removal, "bin_removal", lambda db_, node, rng:
+                        misplace_a_bit_beside_an_empty_box(db_, honest_bin(db_, node, rng)))
+    with pytest.raises(DecodeVerificationError, match="cannot (send|cancel) box"):
+        apply_removal_rebalance(db, 6, RngSpec(5))
+
+
 def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
     db = build_database(6, 3, 9000, RngSpec(14))
     directory = bin_removal(db, 6, RngSpec(14))
