@@ -55,15 +55,13 @@ class BinDirectoryAddition(BoxDirectory):
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Per box key: the holder, as ``sender``; its class, as ``group``; and
-        its set less the sender plus the new node (the largest id), as ``new_set``."""
+        """Per box key: the holder, as ``sender``; and its set less the sender
+        plus the new node (the largest id), as ``new_set``."""
         place = self.placement
         r, node = place.replication, index_dtype(self.new_node)
-        support, nodes = np.array(place.support, node), np.array(place.nodes, node)
-        cls = nodes[np.nonzero(~place.members.T)[1]].reshape(len(support), len(nodes) - r)
-        table = np.empty(support.shape, [("sender", node), ("group", node, cls.shape[1:]),
-                                         ("new_set", node, (r,))])
-        table["sender"], table["group"] = support, cls[:, None, :]
+        support = np.array(place.support, node)
+        table = np.empty(support.shape, [("sender", node), ("new_set", node, (r,))])
+        table["sender"] = support
         table["new_set"][..., -1] = self.new_node
         for code in range(r):
             table["new_set"][:, code, :-1] = np.delete(support, code, axis=1)
@@ -72,17 +70,15 @@ class BinDirectoryAddition(BoxDirectory):
     @cached_property
     def labels(self) -> tuple[AdditionBoxLabel, ...]:
         """Every move box's label, by key; those of one class share its tuple."""
-        return tuple(
-            AdditionBoxLabel(cls, holder)
-            for cls, holders in self.shared_groups(self.placement.replication)
-            for holder in holders
-        )
+        return tuple(map(AdditionBoxLabel, self.groups, self.table["sender"].tolist()))
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Box keys by handoff, one per row, in the order of
-        ``encode_addition``: by sender, then class lexicographically."""
-        return np.lexsort((*self.table["group"].T[::-1], self.table["sender"]))[:, None]
+        ``encode_addition``: by sender, then class ascending, which is stored
+        set and key descending (``~`` of narrow keys: int64 costs 0.2 MB RSS)."""
+        keys = np.arange(len(self.table), dtype=index_dtype(len(self.table)))
+        return np.lexsort((~keys, self.table["sender"]))[:, None]
 
     def label_of(self, bit: int) -> AdditionBoxLabel | None:
         """The move box of one bit, ``None`` if it stays; ``KeyError`` if no such bit."""

@@ -74,7 +74,10 @@ class DistributionCheck:
         p = 1.0 / len(support)
         expected = total * p
         rel = max(abs(c / expected - 1.0) for c in counts)
-        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        # The terms are added strictly left to right, on every Python: from
+        # 3.12 on, sum() of floats compensates its rounding.
+        terms = (np.array(counts, dtype=np.float64) - expected) ** 2 / expected
+        chi2 = float(np.add.accumulate(terms)[-1])
         return cls(
             support=support,
             expected_probability=p,
@@ -194,7 +197,7 @@ def removal_load(
     boxes_per_class = (K - r) * (r - 1)
     return LoadReport(
         event=EVENT_REMOVAL,
-        removed_node=removed_node,
+        removed_node=schedule.directory.removed_node,
         total_transmitted_bits=total,
         num_codewords=len(schedule),
         normalizer=normalizer,

@@ -64,8 +64,8 @@ class Schedule(Sequence):
             return [self[j] for j in range(len(self))[i]]
         i, d = range(len(self))[i], self.directory
         row = d.rows[i]
-        head, sizes = d.table[row[0]], (d.offsets[row + 1] - d.offsets[row]).tolist()
-        return Codeword(int(head["sender"]), tuple(head["group"].tolist()),
+        sizes = (d.offsets[row + 1] - d.offsets[row]).tolist()
+        return Codeword(int(d.table["sender"][row[0]]), d.groups[row[0]],
                         self.payload[self.starts[i] : self.starts[i + 1]],
                         tuple(zip([d.labels[k] for k in row.tolist()], sizes)))
 
@@ -117,9 +117,9 @@ class BoxDirectory:
     from which packets are sliced, is gathered once per file.
 
     Each subclass states its box layout once, in ``table``: per box key,
-    its codeword's ``sender`` and ``group`` and its bits' ``new_set``. From
-    it come ``labels``, ``rows`` (one codeword's box keys per row, in
-    broadcast order) and, with ``new_nodes``, the commit.
+    its codeword's ``sender`` and its bits' ``new_set``. From it come
+    ``rows`` (one codeword's box keys per row, in broadcast order), with
+    ``new_nodes`` the commit and, on request, ``groups`` and ``labels``.
     """
 
     placement: PlacementMap = field(repr=False)
@@ -133,11 +133,20 @@ class BoxDirectory:
         """Where box ``key`` lies in ``box_bits`` and in ``box_values``."""
         return slice(self.offsets[key], self.offsets[key + 1])
 
-    def shared_groups(self, size: int):
-        """Per block of ``size`` keys with one group, in key order: the group
-        as one tuple, and the senders."""
-        return zip(map(tuple, self.table["group"][::size].tolist()),
-                   self.table["sender"].reshape(-1, size).tolist())
+    @cached_property
+    def groups(self) -> tuple[NodeSet, ...]:
+        """Per box key, its codeword's group: the new nodes outside its
+        ``new_set`` other than its ``sender``. Equal groups share one tuple."""
+        nodes, shared, groups = np.array(self.new_nodes), {}, []
+        for part in np.split(self.table, range(CHUNK, len(self.table), CHUNK)):
+            outside = np.ones((len(part), len(nodes)), dtype=bool)
+            used = np.searchsorted(nodes, np.c_[part["sender"], part["new_set"]])
+            outside[np.arange(len(part))[:, None], used] = False
+            rows = np.broadcast_to(nodes, outside.shape)[outside].reshape(len(part), -1)
+            heads = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]  # one tuple per run
+            runs = [shared.setdefault(g, g) for g in map(tuple, rows[heads].tolist())]
+            groups.extend(map(runs.__getitem__, (np.cumsum(heads) - 1).tolist()))
+        return tuple(groups)
 
     @cached_property
     def _keys_by_label(self) -> dict:

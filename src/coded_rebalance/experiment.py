@@ -45,7 +45,7 @@ DEFAULT_TRIALS = {EVENT_REMOVE: 30, EVENT_ADD: 100}
 
 # The most support sets (Python tuples) and box keys (rows of per-key arrays)
 # a configuration may enumerate. A removal trial at F=10^5 costs about 0.16 KB and
-# 1.5 us per box key (K=24, r=5: 672 980 keys, 106-111 MB peak RSS, 0.9-1.0 s).
+# 1 us per box key (K=24, r=5: 672 980 keys, 108 MB peak RSS, 0.55-0.70 s).
 MAX_ENUMERATED = 2**22
 
 

@@ -74,9 +74,9 @@ class BinDirectoryRemoval(BoxDirectory):
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Per box key: ``target``; the holder, as ``sender``; the remainder,
-        as ``group``; the support index of the class's stored set, as
-        ``set``; and the holders plus the target, as ``new_set``."""
+        """Per box key: ``target``; the holder, as ``sender``; the support
+        index of the class's stored set, as ``set``; and the holders plus the
+        target, as ``new_set``."""
         place = self.placement
         r, node = place.replication, index_dtype(max(place.nodes))
         member = place.support_membership(self.removed_node)
@@ -85,12 +85,10 @@ class BinDirectoryRemoval(BoxDirectory):
         cls = nodes[np.nonzero(~stored)[1]].reshape(-1, len(nodes) - r)
         holders = nodes[np.nonzero(stored & (nodes != self.removed_node))[1]].reshape(-1, r - 1)
         table = np.empty((*cls.shape, r - 1), [("target", node), ("sender", node),
-                         ("group", node, (cls.shape[1] - 1,)),
                          ("set", index_dtype(len(place.support))), ("new_set", node, (r,))])
         table["target"], table["sender"] = cls[:, :, None], holders[:, None, :]
         table["set"] = np.flatnonzero(member)[:, None, None]
         for t in range(cls.shape[1]):
-            table["group"][:, t] = np.delete(cls, t, axis=1)[:, None]
             table["new_set"][:, t] = np.sort(np.c_[holders, cls[:, t]], axis=1)[:, None]
         return table.reshape(-1)
 
@@ -113,20 +111,16 @@ class BinDirectoryRemoval(BoxDirectory):
     @cached_property
     def labels(self) -> tuple[RemovalBoxLabel, ...]:
         """Every box's label, by key; those of one (class, target) share a remainder."""
-        size = self.placement.replication - 1
-        targets = self.table["target"][::size].tolist()
-        return tuple(
-            RemovalBoxLabel(target, remainder, holder)
-            for target, (remainder, holders) in zip(targets, self.shared_groups(size))
-            for holder in holders
-        )
+        targets, senders = self.table["target"].tolist(), self.table["sender"].tolist()
+        return tuple(map(RemovalBoxLabel, targets, self.groups, senders))
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Box keys by codeword, in the order of ``encode_removal``: contexts
-        (class minus target) lexicographically, then holders; each row's
-        r-1 boxes by target."""
-        keys = (self.table["target"], self.table["sender"], *self.table["group"].T[::-1])
+        (the survivors outside ``new_set``) lexicographically, so new sets in
+        reverse, then holders; each row's r-1 boxes by target."""
+        table = self.table  # ~ reverses the order of the unsigned node ids
+        keys = (table["target"], table["sender"], *(~table["new_set"]).T[::-1])
         return np.lexsort(keys).reshape(-1, self.placement.replication - 1)
 
     def label_of(self, bit: int) -> RemovalBoxLabel:

@@ -45,10 +45,12 @@ def addition_boxes(nodes, replication):
 
 
 def table_boxes(directory):
-    """The rows of a directory's ``table`` as dicts of Python values."""
+    """The rows of a directory's ``table`` as dicts of Python values, each
+    with its key's ``group`` from ``directory.groups``."""
     table = directory.table
     columns = [
         [tuple(v) if isinstance(v, list) else v for v in table[name].tolist()]
         for name in table.dtype.names
     ]
-    return [dict(zip(table.dtype.names, row)) for row in zip(*columns)]
+    return [dict(zip(table.dtype.names, row), group=group)
+            for row, group in zip(zip(*columns), directory.groups)]

@@ -70,6 +70,14 @@ def test_labels_of_one_class_share_one_class_tuple():
         assert len({id(lab.bit_class) for lab in labels[first : first + 3]}) == 1
 
 
+def test_rows_equal_the_class_sort_at_k12():
+    # senders, then classes (the groups) lexicographically
+    directory = bin_addition(build_database(12, 4, 100, RngSpec(5)), RngSpec(5))
+    classes = np.array(directory.groups)
+    by_class = np.lexsort((*classes.T[::-1], directory.table["sender"]))
+    assert np.array_equal(directory.rows, by_class[:, None])
+
+
 def test_binning_covers_every_bit_once():
     db = build_database(4, 2, 5000, RngSpec(90))
     directory = bin_addition(db, RngSpec(90))

@@ -229,6 +229,11 @@ def test_load_reports_reject_parameters_the_schedule_contradicts():
     assert addition_load(addition, 4, 2, 1000).num_codewords == 12
 
 
+def test_removal_report_names_the_removed_node_when_none_is_passed():
+    _, schedule = apply_removal_rebalance(build_database(6, 3, 1000, RngSpec(6)), 4, RngSpec(6))
+    assert removal_load(schedule, 6, 3, 1000).removed_node == 4
+
+
 def test_addition_single_bit_load_dichotomy():
     # one bit either stays (load 0) or moves (load (K+1)/r)
     K, r = 4, 2
@@ -283,3 +288,10 @@ def test_distribution_check_statistics():
     assert check.expected_probability == 0.5
     assert math.isclose(check.max_relative_error, 0.2)
     assert math.isclose(check.chi_square_statistic, (10**2) / 50 * 2)
+
+
+def test_chi_square_adds_its_terms_left_to_right():
+    # sum() from Python 3.12 on compensates and gives ...273 here
+    check = DistributionCheck.from_counts([(n,) for n in range(1, 10)],
+                                          [27, 38, 48, 49, 0, 44, 28, 17, 46])
+    assert check.chi_square_statistic == 66.72727272727272

@@ -18,6 +18,8 @@ from coded_rebalance import (
     verify_r_balanced,
 )
 
+from box_reference import addition_boxes, removal_boxes, table_boxes
+
 ADD = "add"
 
 
@@ -104,6 +106,20 @@ def test_remove_then_add_gives_non_contiguous_ids():
     db = run_event(db, ADD, RngSpec(7, trial=1))
     assert db.nodes == (1, 3, 4, 5, 6)
     check_placement(db, 2)
+
+
+def test_churned_directories_state_the_straight_line_boxes_and_groups():
+    # node ids stop being contiguous after the first removal
+    db = build_database(6, 3, 200, RngSpec(12))
+    for i, event in enumerate((3, ADD, 5)):
+        spec = RngSpec(12, trial=i)
+        if event == ADD:
+            directory, boxes = bin_addition(db, spec), addition_boxes(db.nodes, 3)
+        else:
+            directory, boxes = bin_removal(db, event, spec), removal_boxes(db.nodes, event, 3)
+        assert table_boxes(directory) == boxes, event
+        db = run_event(db, event, spec)
+    assert db.nodes == (1, 2, 4, 6, 7)
 
 
 def test_six_event_chain_keeps_the_uniform_placement_law():

@@ -86,6 +86,14 @@ def test_labels_of_one_class_and_target_share_one_remainder():
         assert len({id(lab.remainder) for lab in labels[first : first + 3]}) == 1
 
 
+def test_rows_equal_the_context_sort_at_k12():
+    # contexts (the groups) lexicographically, then senders, then targets
+    directory = bin_removal(build_database(12, 4, 100, RngSpec(5)), 5, RngSpec(5))
+    table, contexts = directory.table, np.array(directory.groups)
+    by_context = np.lexsort((table["target"], table["sender"], *contexts.T[::-1]))
+    assert np.array_equal(directory.rows, by_context.reshape(-1, 3))
+
+
 def test_binning_partitions_every_class():
     K, r, k = 6, 3, 6
     db = build_database(K, r, 12000, RngSpec(31))
