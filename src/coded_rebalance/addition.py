@@ -67,10 +67,10 @@ class BinDirectoryAddition(BoxDirectory):
             table["new_set"][:, code, :-1] = np.delete(support, code, axis=1)
         return table.reshape(-1)
 
-    @cached_property
-    def labels(self) -> tuple[AdditionBoxLabel, ...]:
-        """Every move box's label, by key; those of one class share its tuple."""
-        return tuple(map(AdditionBoxLabel, self.groups, self.table["sender"].tolist()))
+    def labels_of(self, boxes: np.ndarray, groups: list[NodeSet]):
+        """The move box labels of table entries ``boxes`` with their ``groups``
+        as classes; those of one class share its tuple."""
+        return map(AdditionBoxLabel, groups, boxes["sender"].tolist())
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -65,9 +65,11 @@ class Schedule(Sequence):
         i, d = range(len(self))[i], self.directory
         row = d.rows[i]
         sizes = (d.offsets[row + 1] - d.offsets[row]).tolist()
-        return Codeword(int(d.table["sender"][row[0]]), d.groups[row[0]],
+        boxes = d.table[row]  # the row's own entries, not every key's group or label
+        group = d.group_of(boxes[0])  # which the whole row shares
+        return Codeword(int(boxes["sender"][0]), group,
                         self.payload[self.starts[i] : self.starts[i + 1]],
-                        tuple(zip([d.labels[k] for k in row.tolist()], sizes)))
+                        tuple(zip(d.labels_of(boxes, [group] * len(boxes)), sizes)))
 
 
 def packing(num_bits: int, num_keys: int) -> tuple[int, np.dtype]:
@@ -120,6 +122,8 @@ class BoxDirectory:
     its codeword's ``sender`` and its bits' ``new_set``. From it come
     ``rows`` (one codeword's box keys per row, in broadcast order), with
     ``new_nodes`` the commit and, on request, ``groups`` and ``labels``.
+    A record reads only its row's entries: ``group_of`` one entry's group,
+    and each subclass's ``labels_of`` the labels of entries and their groups.
     """
 
     placement: PlacementMap = field(repr=False)
@@ -147,6 +151,17 @@ class BoxDirectory:
             runs = [shared.setdefault(g, g) for g in map(tuple, rows[heads].tolist())]
             groups.extend(map(runs.__getitem__, (np.cumsum(heads) - 1).tolist()))
         return tuple(groups)
+
+    def group_of(self, box: np.void) -> NodeSet:
+        """``groups``' entry for one entry of ``table``, from that entry alone:
+        a record's group costs O(K), not a pass over every key."""
+        sender, new_set = int(box["sender"]), box["new_set"].tolist()
+        return tuple(n for n in self.new_nodes if n != sender and n not in new_set)
+
+    @cached_property
+    def labels(self) -> tuple:
+        """Every box's label, by key: ``labels_of`` the whole table."""
+        return tuple(self.labels_of(self.table, self.groups))
 
     @cached_property
     def _keys_by_label(self) -> dict:
@@ -177,11 +192,11 @@ class BoxDirectory:
             yield begin, bits, np.repeat(per_key[first:last], sizes)
 
     def box_values(self, file: FileInstance) -> np.ndarray:
-        """``file.values[box_bits]``, read-only: box ``k``'s packet is
+        """``file.values_at(box_bits)``, read-only: box ``k``'s packet is
         ``box_values(file)[offsets[k]:offsets[k + 1]]``. Gathered once and
         kept for the last file asked about."""
         if self._values is None or self._values[0] is not file:
-            values = gather(file.values, self.box_bits)
+            values = file.values_at(self.box_bits)
             values.flags.writeable = False
             self._values = (file, values)
         return self._values[1]

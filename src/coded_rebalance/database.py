@@ -5,7 +5,7 @@ uniformly drawn set of ``replication`` storing nodes. Per-bit node sets are
 the authoritative record (stored as indices into the list of candidate
 sets); per-node contents are derived views. Node ids are 1-based and never
 relabeled by the rebalancing protocols; bit indices are 0-based positions
-into the file's value array.
+in the file.
 """
 
 from __future__ import annotations
@@ -107,28 +107,68 @@ def count_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FileInstance:
-    """A file of ``num_bits`` binary symbols.
+    """A file of ``num_bits`` binary symbols, stored packed.
 
     Values are carried explicitly, not just bit identities, so XOR decoding
-    can be verified bit for bit. They are read-only, so anything derived
-    from them stays valid for the life of the instance.
+    can be verified bit for bit. ``packed`` holds them 8 to a byte in
+    ``np.packbits`` order: bit ``i`` is bit ``7 - i % 8`` of byte ``i // 8``,
+    and the pad bits past ``num_bits`` are never read. It is read-only, so
+    anything derived from it stays valid for the life of the instance.
     """
 
     num_bits: int
-    values: np.ndarray
+    packed: np.ndarray
 
     def __post_init__(self) -> None:
         if self.num_bits < 1:
             raise InvalidParameters("file must contain at least one bit")
-        values = np.asarray(self.values, dtype=np.uint8)
-        if values.shape != (self.num_bits,):
+        packed, size = np.asarray(self.packed, dtype=np.uint8), -(-self.num_bits // 8)
+        if packed.shape != (size,):
             raise InvalidParameters(
-                f"expected {self.num_bits} values, got shape {values.shape}"
+                f"expected {size} bytes for {self.num_bits} bits, got shape {packed.shape}"
             )
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
+
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> FileInstance:
+        """The file whose bits are ``values``, one 0 or 1 per bit."""
+        values = np.asarray(values, dtype=np.uint8)
+        if values.ndim != 1:
+            raise InvalidParameters(f"expected one value per bit, got shape {values.shape}")
         if values.size and int(values.max()) > 1:
             raise InvalidParameters("file values must be 0 or 1")
+        return cls(values.size, np.packbits(values))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """One uint8 0 or 1 per bit, read-only, unpacked on first request and
+        kept: 8 bytes per byte of ``packed``. The protocols read ``values_at``."""
+        values = np.unpackbits(self.packed, count=self.num_bits)
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        return values
+
+    def values_at(self, bits: np.ndarray) -> np.ndarray:
+        """``values[bits]`` for a 1-D array of bit indices of any integer
+        dtype, read from ``packed`` a ``CHUNK`` at a time; ``IndexError`` for
+        a bit outside [0, num_bits)."""
+        out = np.empty(bits.size, dtype=np.uint8)
+        if bits.size and (int(bits.max()) >= self.num_bits or int(bits.min()) < 0):
+            raise IndexError(f"bit indices must lie in [0, {self.num_bits})")
+        # One byte index buffer and one in-byte position buffer serve every chunk.
+        at = np.empty(min(bits.size, CHUNK), dtype=np.intp)
+        shift = np.empty(at.size, dtype=np.uint8)
+        for start in range(0, bits.size, CHUNK):
+            part, value = bits[start : start + CHUNK], out[start : start + CHUNK]
+            byte, pos = at[: part.size], shift[: part.size]
+            byte[:] = part
+            byte >>= 3
+            np.take(self.packed, byte, out=value)
+            pos[:] = part  # the low 8 bits
+            pos &= 7
+            value <<= pos  # bit i % 8 from the top moves to the top, then down
+            value >>= 7
+        return out
 
 
 @dataclass
@@ -265,27 +305,12 @@ def draw_placement(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
 
 
 def draw_file(num_bits: int, rng: RngSpec) -> FileInstance:
-    """A file of independent fair bits, drawn on the values stream of ``rng``.
-
-    The bits are those of ``np.unpackbits`` over ``gen.bytes(ceil(F / 8))``.
-    They are drawn a ``CHUNK`` at a time: ``gen.bytes`` consumes whole
-    uint32 draws, so CHUNK/8-byte draws give the bytes of one whole draw.
-    Each chunk is unpacked a sixteenth at a time: a CHUNK-sized temporary
-    beside the placement and the file would exceed ``build_database``'s
-    traced bound of 2 bytes per bit plus 64 KB.
-    """
+    """A file of independent fair bits, drawn on the values stream of ``rng``:
+    the bytes of ``gen.bytes(ceil(F / 8))``, kept packed."""
     if num_bits < 1:
         raise InvalidParameters("num_bits must be at least 1")
     gen = rng.generator(STREAM_VALUES)
-    values = np.empty(num_bits, dtype=np.uint8)
-    piece = CHUNK // 16  # bytes unpacked per pass
-    for start in range(0, num_bits, CHUNK):
-        part = values[start : start + CHUNK]
-        raw = np.frombuffer(gen.bytes(-(-part.size // 8)), dtype=np.uint8)
-        for first in range(0, raw.size, piece):
-            bits = part[8 * first : 8 * (first + piece)]
-            bits[:] = np.unpackbits(raw[first : first + piece], count=bits.size)
-    return FileInstance(num_bits, values)
+    return FileInstance(num_bits, np.frombuffer(gen.bytes(-(-num_bits // 8)), dtype=np.uint8))
 
 
 def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec) -> Database:

@@ -224,9 +224,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         pending = None
         spec = RngSpec(config.master_seed, trial=t)
         db = Database(placement, draw_file(config.num_bits, spec))
-        # Started only after the values are drawn: allocated at once, the two
-        # F-sized arrays race for the same free heap, and at K=6, r=3, F=10^7
-        # some runs' peak RSS rose by 15 MB instead of the placement's 10 MB.
+        # Started only after the file is drawn: large arrays allocated at once
+        # race for the same free heap (when the file took a byte per bit, some
+        # K=6, r=3, F=10^7 runs' peak RSS rose by 15 MB, not the placement's 10).
         if t + 1 < config.trials:
             pending = in_background(lambda ahead=t + 1: _draw_placement(config, ahead))
         try:

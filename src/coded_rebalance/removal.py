@@ -108,11 +108,10 @@ class BinDirectoryRemoval(BoxDirectory):
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def labels(self) -> tuple[RemovalBoxLabel, ...]:
-        """Every box's label, by key; those of one (class, target) share a remainder."""
-        targets, senders = self.table["target"].tolist(), self.table["sender"].tolist()
-        return tuple(map(RemovalBoxLabel, targets, self.groups, senders))
+    def labels_of(self, boxes: np.ndarray, groups: list[NodeSet]):
+        """The labels of table entries ``boxes`` with their ``groups`` as
+        remainders; those of one (class, target) share a remainder."""
+        return map(RemovalBoxLabel, boxes["target"].tolist(), groups, boxes["sender"].tolist())
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -167,12 +166,13 @@ def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRe
     gen = rng.generator(STREAM_REMOVAL_BINNING)
 
     def draw_codes() -> np.ndarray:
-        # Bounded int64 draws consume the stream value by value, so drawing
-        # a chunk at a time gives the codes of one whole draw.
+        # Bounded int32 draws, like int64 ones below 2**32, consume the
+        # stream 32 bits at a time and keep no buffer between calls, so
+        # int32 chunks give the codes of one whole default (int64) draw.
         codes = np.empty(num_affected, dtype=index_dtype(boxes_per_class - 1))
         for start in range(0, num_affected, CHUNK):
             part = codes[start : start + CHUNK]
-            part[:] = gen.integers(0, boxes_per_class, size=part.size)
+            part[:] = gen.integers(0, boxes_per_class, size=part.size, dtype=np.int32)
         return codes
 
     drawn = in_background(draw_codes)

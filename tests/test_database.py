@@ -1,5 +1,6 @@
 """Placement construction, query primitives, and balance validation."""
 
+import hashlib
 import math
 import threading
 import time
@@ -152,6 +153,56 @@ def test_file_values_are_fair_bits():
     assert abs(values.mean() - 0.5) <= 5 * 0.0005  # five sigma of a fair coin
 
 
+def test_file_values_are_pinned():
+    # Documents do not depend on the values, so no golden file or digest
+    # would notice a change in how the file is drawn or stored.
+    values = draw_file(10**6 + 5, RngSpec(3, trial=2)).values
+    assert values.dtype == np.uint8 and values.shape == (10**6 + 5,)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == (
+        "13d4e4320ba7099849f0cf3c595a36c624505a22a2fb699eba6838564236a4a6"
+    )
+
+
+def test_file_is_kept_packed_8_bits_to_a_byte():
+    # the stream's own bytes; the last byte's 5 pad bits are drawn too
+    file = draw_file(8 * CHUNK + 3, RngSpec(9))
+    assert file.packed.dtype == np.uint8 and file.packed.shape == (CHUNK + 1,)
+    assert file.packed.tobytes() == RngSpec(9).generator(STREAM_VALUES).bytes(CHUNK + 1)
+    assert "values" not in vars(file)
+    assert file.values is file.values  # unpacked once on request, then kept
+    assert np.array_equal(FileInstance.from_values(file.values).values, file.values)
+
+
+@pytest.mark.parametrize("F", [1, 7, 8, 9, 8 * CHUNK + 3])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_values_at_equals_values_indexed(F, dtype):
+    file = draw_file(F, RngSpec(2))
+    top = min(F, np.iinfo(dtype).max + 1)
+    rng = np.random.default_rng(F)
+    # unsorted and repeated, over more than two of values_at's chunks
+    scattered = rng.integers(0, top, size=2 * CHUNK + 7).astype(dtype)
+    ascending = np.arange(top, dtype=dtype)
+    for bits in (scattered, ascending, ascending[::-1], scattered[:0]):
+        assert np.array_equal(file.values_at(bits), file.values[bits])
+        assert file.values_at(bits).dtype == np.uint8
+
+
+def test_values_at_rejects_a_bit_outside_the_file():
+    file = draw_file(9, RngSpec(2))  # bytes hold 16 bits, 7 of them padding
+    for bad in ([9], [15], [-1]):
+        with pytest.raises(IndexError):
+            file.values_at(np.array(bad))
+
+
+def test_file_instance_rejects_malformed_values_and_bytes():
+    for values in (np.zeros((2, 4), np.uint8), np.array([0, 2, 1]), np.empty(0, np.uint8)):
+        with pytest.raises(InvalidParameters):
+            FileInstance.from_values(values)
+    for num_bits, size in ((8, 2), (9, 1), (0, 0)):
+        with pytest.raises(InvalidParameters):
+            FileInstance(num_bits, np.zeros(size, np.uint8))
+
+
 @pytest.mark.parametrize("F", [0, -3])
 def test_draw_file_rejects_an_empty_file(F):
     with pytest.raises(InvalidParameters):
@@ -179,7 +230,7 @@ def test_database_rejects_a_file_of_another_length():
     place = build_database(4, 2, 1000, RngSpec(1)).placement
     for bits in (500, 2000):
         with pytest.raises(MismatchedParameters):
-            Database(place, FileInstance(bits, np.zeros(bits, np.uint8)))
+            Database(place, FileInstance.from_values(np.zeros(bits, np.uint8)))
 
 
 def test_full_support_is_node_sets_of_ascending_python_ints():
@@ -209,7 +260,7 @@ def test_verify_r_balanced_reports_truncated_bit():
 def test_verify_r_balanced_reports_a_set_naming_an_unknown_or_repeated_node(wrong):
     # each is two names long, but names fewer than two distinct nodes of the placement
     place = PlacementMap((1, 2, 3), 2, ((1, 2), wrong), np.array([0, 1, 0], dtype=np.int32))
-    db = Database(place, FileInstance(3, np.zeros(3, np.uint8)))
+    db = Database(place, FileInstance.from_values(np.zeros(3, np.uint8)))
     report = verify_r_balanced(db, tolerance=1.0)
     assert not report.replication_ok
     assert report.offending_bits == (1,)
@@ -234,7 +285,7 @@ def placements_with_wrong_sized_sets(draw):
         draw(st.lists(st.sampled_from(used), min_size=1, max_size=200)), dtype=np.int32
     )
     placement = PlacementMap(nodes, r, support, set_index)
-    return Database(placement, FileInstance(set_index.size, np.zeros(set_index.size, np.uint8)))
+    return Database(placement, FileInstance.from_values(np.zeros(set_index.size, np.uint8)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,6 +15,7 @@ import pytest
 
 from coded_rebalance import (
     ExperimentConfig,
+    FileInstance,
     addition,
     codeword,
     emit_results,
@@ -57,6 +58,17 @@ def test_a_trial_builds_no_record_and_no_label(monkeypatch, name):
     monkeypatch.setattr(codeword, "Codeword", refuse)
     monkeypatch.setattr(removal, "RemovalBoxLabel", refuse)
     monkeypatch.setattr(addition, "AdditionBoxLabel", refuse)
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    assert emit_results(run_experiment(CONFIGS[name]), "json").encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name", ["remove-r3", "add-r2"])
+def test_a_trial_never_unpacks_the_file(monkeypatch, name):
+    # A trial reads the packed file through values_at; values is for the edges.
+    def refuse(file):
+        raise AssertionError("a trial unpacked the file")
+
+    monkeypatch.setattr(FileInstance, "values", property(refuse))
     expected = (GOLDEN / f"{name}.json").read_bytes()
     assert emit_results(run_experiment(CONFIGS[name]), "json").encode("utf-8") == expected
 

@@ -598,19 +598,23 @@ def test_bin_removal_parameter_errors():
 
 
 def test_a_removal_draw_split_at_chunk_boundaries_equals_one_whole_draw():
-    # bin_removal draws its codes in pieces, one per file chunk
+    # bin_removal draws its codes as int32 a CHUNK at a time; they are the
+    # codes of one whole default (int64) draw
     size = 3 * CHUNK + 5
-    for bound in range(1, 13):
-        whole = RngSpec(9).generator(STREAM_REMOVAL_BINNING).integers(0, bound, size=size)
-        gen = RngSpec(9).generator(STREAM_REMOVAL_BINNING)
-        split = [gen.integers(0, bound, size=min(CHUNK, size - s)) for s in range(0, size, CHUNK)]
-        assert np.array_equal(np.concatenate(split), whole), bound
+    for seed in range(5):
+        for bound in [*range(1, 13), 44, 100, 2**31 - 1]:
+            whole = RngSpec(seed, trial=1).generator(STREAM_REMOVAL_BINNING).integers(
+                0, bound, size=size)
+            gen = RngSpec(seed, trial=1).generator(STREAM_REMOVAL_BINNING)
+            split = [gen.integers(0, bound, size=min(CHUNK, size - s), dtype=np.int32)
+                     for s in range(0, size, CHUNK)]
+            assert np.array_equal(np.concatenate(split), whole), (seed, bound)
 
 
 def test_a_placement_draw_split_at_chunk_boundaries_equals_one_whole_draw():
     # draw_placement draws the set index as int32 CHUNK at a time; a bound of
     # 1.5e9 rejects about 30% of its raw draws. The file's values come from a
-    # stream of their own (tests/test_database.py checks their chunked draw).
+    # stream of their own (tests/test_database.py pins them).
     for bound in (20, 3003, 65_536, 1_500_000_000):
         for size in (7, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
             gen = RngSpec(9).generator(STREAM_PLACEMENT)

@@ -150,6 +150,25 @@ def test_a_schedule_is_a_sequence_of_records_built_on_request():
     assert records[0] is not schedule[0]  # none is kept
 
 
+def addition_schedule():
+    db = build_database(4, 2, 60, RngSpec(3))
+    return encode_addition(db, bin_addition(db, RngSpec(3)))
+
+
+@pytest.mark.parametrize("make", [removal_schedule, addition_schedule])
+def test_a_record_derives_only_its_own_row_s_groups_and_labels(make):
+    # a record costs O(r): at K=30, r=5 every key's labels took seconds
+    schedule = make()
+    directory = schedule.directory
+    records = [schedule[0], schedule[len(schedule) - 1]]
+    assert "groups" not in vars(directory) and "labels" not in vars(directory)
+    for i, cw in zip((0, len(schedule) - 1), records):
+        keys = directory.rows[i].tolist()
+        assert cw.group == directory.groups[keys[0]]
+        assert [label for label, _ in cw.constituents] == [directory.labels[k] for k in keys]
+    assert [directory.group_of(box) for box in directory.table] == list(directory.groups)
+
+
 def test_records_compare_by_value():
     schedule = removal_schedule()
     again = removal_schedule()  # built from a database and directory of its own
