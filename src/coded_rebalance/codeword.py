@@ -224,7 +224,7 @@ class BoxDirectory:
         """Raise ``DirectoryMismatch`` unless ``db`` has the placement binned from.
 
         O(1) for the very same placement object; otherwise the nodes, the
-        replication, the support and every bit's set must be equal.
+        replication and every bit's set must be equal.
         """
         place, own = db.placement, self.placement
         if place is own:
@@ -232,7 +232,6 @@ class BoxDirectory:
         if (
             place.nodes != own.nodes
             or place.replication != own.replication
-            or place.support != own.support
             or not np.array_equal(place.set_index, own.set_index)
         ):
             raise DirectoryMismatch("directory was binned from a different placement")
@@ -258,4 +257,4 @@ class BoxDirectory:
             new_index[bits] = new_sets
         if new_index.max(initial=0) >= unmapped:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
-        return PlacementMap(self.new_nodes, place.replication, new_support, new_index)
+        return PlacementMap(self.new_nodes, place.replication, new_index)

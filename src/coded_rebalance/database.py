@@ -14,6 +14,7 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from math import comb
 from typing import Callable, Iterable, TypeVar
 
 import numpy as np
@@ -122,22 +123,27 @@ class FileInstance:
     def __post_init__(self) -> None:
         if self.num_bits < 1:
             raise InvalidParameters("file must contain at least one bit")
-        packed, size = np.asarray(self.packed, dtype=np.uint8), -(-self.num_bits // 8)
+        packed, size = np.asarray(self.packed), -(-self.num_bits // 8)
+        if packed.dtype != np.uint8 and (packed.dtype.kind not in "iu" or packed.size and (
+                int(packed.min()) < 0 or int(packed.max()) > 255)):  # uint8 needs no pass
+            raise InvalidParameters("file bytes must be integers in 0..255")
         if packed.shape != (size,):
             raise InvalidParameters(
                 f"expected {size} bytes for {self.num_bits} bits, got shape {packed.shape}"
             )
+        packed = packed.astype(np.uint8, copy=False)
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> FileInstance:
         """The file whose bits are ``values``, one 0 or 1 per bit."""
-        values = np.asarray(values, dtype=np.uint8)
+        values = np.asarray(values)
         if values.ndim != 1:
             raise InvalidParameters(f"expected one value per bit, got shape {values.shape}")
-        if values.size and int(values.max()) > 1:
-            raise InvalidParameters("file values must be 0 or 1")
+        if values.dtype.kind not in "biu" or values.size and (
+                int(values.min()) < 0 or int(values.max()) > 1):
+            raise InvalidParameters("file values must be integers 0 or 1")
         return cls(values.size, np.packbits(values))
 
     @cached_property
@@ -175,27 +181,40 @@ class FileInstance:
 class PlacementMap:
     """Which nodes store each bit.
 
-    ``support[set_index[i]]`` is the node set storing bit ``i``. ``support``
-    normally enumerates every replication-sized subset of ``nodes``, so a
-    uniform placement is a uniform draw of ``set_index``, which is made
-    read-only at construction so the counts and the table derived from it
-    stay valid. Any integer dtype serves. ``nodes`` ascend.
+    ``support[set_index[i]]`` stores bit ``i``. ``support``, built on first
+    read, is ``full_support(nodes, replication)``, so each bit has exactly
+    ``replication`` distinct holders, and a uniform placement is a uniform
+    draw of ``set_index``: a 1-D array of any integer dtype, made read-only
+    so the counts and the table derived from it stay valid. ``nodes``
+    strictly ascend and 1 <= replication <= len(nodes).
     """
 
     nodes: NodeSet
     replication: int
-    support: tuple[NodeSet, ...]
     set_index: np.ndarray
     _counts: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.set_index.flags.writeable = False
+        nodes, r, index = self.nodes, self.replication, self.set_index
+        if any(a >= b for a, b in zip(nodes, nodes[1:])) or not 1 <= r <= len(nodes):
+            raise InvalidParameters(f"need strictly ascending nodes and 1 <= replication <= "
+                                    f"len(nodes), got nodes {nodes} and replication {r}")
+        if index.ndim != 1 or index.dtype.kind not in "iu":
+            raise InvalidParameters(f"need a 1-D integer set_index, got {index.dtype}{index.shape}")
+        index.flags.writeable = False
 
     @property
     def num_bits(self) -> int:
         return int(self.set_index.shape[0])
 
+    @cached_property
+    def support(self) -> NodeSets:
+        return full_support(self.nodes, self.replication)
+
     def node_set(self, bit: int) -> NodeSet:
+        """The node set storing ``bit``; ``IndexError`` outside [0, num_bits)."""
+        if not 0 <= bit < self.num_bits:
+            raise IndexError(f"bit {bit} lies outside [0, {self.num_bits})")
         return self.support[int(self.set_index[bit])]
 
     def set_counts(self) -> np.ndarray:
@@ -206,7 +225,7 @@ class PlacementMap:
         """
         if self._counts is None:
             try:
-                counts = count_keys(self.set_index, len(self.support))
+                counts = count_keys(self.set_index, comb(len(self.nodes), self.replication))
             except ValueError:
                 raise InvalidParameters("a bit's set index lies outside the support") from None
             counts.flags.writeable = False
@@ -215,15 +234,13 @@ class PlacementMap:
 
     @cached_property
     def members(self) -> np.ndarray:
-        """``members[i, s]``, read-only: whether ``nodes[i]`` is in ``support[s]``.
-        A set's nodes outside ``nodes`` have no row; a node named twice counts once."""
-        sizes = np.fromiter(map(len, self.support), dtype=np.intp, count=len(self.support))
-        named = np.fromiter(chain.from_iterable(self.support), np.int64, int(sizes.sum()))
-        nodes = np.array(self.nodes, dtype=np.int64)
-        rows = np.searchsorted(nodes, named)  # as nodes ascend
-        known = np.take(nodes, rows, mode="clip") == named
-        members = np.zeros((nodes.size, sizes.size), dtype=bool)
-        members[rows[known], np.repeat(np.arange(sizes.size), sizes)[known]] = True
+        """``members[i, s]``, read-only: whether ``nodes[i]`` is in ``support[s]``."""
+        K, r = len(self.nodes), self.replication
+        sets = comb(K, r)
+        # Positions' r-subsets come in support's order, as nodes ascend.
+        rows = np.fromiter(chain.from_iterable(combinations(range(K), r)), np.intp, sets * r)
+        members = np.zeros((K, sets), dtype=bool)
+        members[rows, np.arange(sets).repeat(r)] = True
         members.flags.writeable = False
         return members
 
@@ -264,10 +281,10 @@ class Database:
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Outcome of the two balance conditions; failures are reported, not raised."""
+    """Outcome of the two balance conditions; failures are reported, not raised.
+    ``replication_ok`` is true by construction of ``PlacementMap``."""
 
     replication_ok: bool
-    offending_bits: tuple[int, ...]
     storage_ok: bool
     node_loads: dict[int, int]
     expected_node_load: float
@@ -294,14 +311,13 @@ def draw_placement(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
         )
     if num_bits < 1:
         raise InvalidParameters("num_bits must be at least 1")
-    nodes = tuple(range(1, num_nodes + 1))
-    support = full_support(nodes, replication)
+    num_sets = comb(num_nodes, replication)
     gen = rng.generator(STREAM_PLACEMENT)
-    set_index = np.empty(num_bits, dtype=index_dtype(len(support)))
+    set_index = np.empty(num_bits, dtype=index_dtype(num_sets))
     # Bounded int32 draws consume the stream value by value: chunks draw the same indices.
     for part in np.split(set_index, range(CHUNK, num_bits, CHUNK)):
-        part[:] = gen.integers(0, len(support), size=part.size, dtype=np.int32)
-    return PlacementMap(nodes, replication, support, set_index)
+        part[:] = gen.integers(0, num_sets, size=part.size, dtype=np.int32)
+    return PlacementMap(tuple(range(1, num_nodes + 1)), replication, set_index)
 
 
 def draw_file(num_bits: int, rng: RngSpec) -> FileInstance:
@@ -334,17 +350,13 @@ def build_database(num_nodes: int, replication: int, num_bits: int, rng: RngSpec
 def exclusive_group(db: Database, absent_nodes: Iterable[int]) -> np.ndarray:
     """Bits stored at exactly the complement of ``absent_nodes``.
 
-    Returns ascending bit indices; empty when the complement is not a valid
-    storing set (wrong size or not in the support).
+    Returns ascending bit indices; empty when the complement does not have
+    ``replication`` nodes. One that does is a set of the support.
     """
     target = tuple(sorted(set(db.placement.nodes) - set(absent_nodes)))
     if len(target) != db.placement.replication:
         return np.empty(0, dtype=np.int64)
-    try:
-        idx = db.placement.support.index(target)
-    except ValueError:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(db.placement.set_index == idx)
+    return np.flatnonzero(db.placement.set_index == db.placement.support.index(target))
 
 
 def node_contents(db: Database, node: int) -> np.ndarray:
@@ -361,29 +373,19 @@ def node_storage_counts(db: Database) -> dict[int, int]:
 
 
 def verify_r_balanced(db: Database, tolerance: float = 0.01) -> BalanceReport:
-    """Check the replication condition exactly and the balance condition
-    statistically.
+    """Check the balance condition statistically.
 
-    The replication check demands every bit's node set have exactly
-    ``replication`` distinct members among ``nodes``; offenders are listed.
-    It looks at the support sets that bits chose, and visits the bits only
-    when one of those sets has the wrong size. The storage check demands
-    every node's load lie within ``tolerance`` (relative) of the expected
-    per-node load, replication/num_nodes of the file.
+    Every node's load must lie within ``tolerance`` (relative) of the
+    expected per-node load, replication/num_nodes of the file. Replication
+    is exact by construction of the placement, so ``replication_ok`` is
+    true; ``InvalidParameters`` if a bit names no support set.
     """
     place = db.placement
-    wrong_size = place.members.sum(axis=0) != place.replication
-    wrong_size &= place.set_counts() > 0
-    offending = ()
-    if wrong_size.any():
-        offending = tuple(int(i) for i in np.flatnonzero(gather(wrong_size, place.set_index)))
-
     loads = node_storage_counts(db)
     expected = place.replication * db.num_bits / len(place.nodes)
     max_dev = max(abs(v - expected) for v in loads.values()) / expected
     return BalanceReport(
-        replication_ok=not offending,
-        offending_bits=offending,
+        replication_ok=True,
         storage_ok=max_dev <= tolerance,
         node_loads=loads,
         expected_node_load=expected,

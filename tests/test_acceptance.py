@@ -106,7 +106,7 @@ def test_criterion_03_addition_load(addition_k4):
 
 def test_criterion_04_replication_restored(removal_r3, removal_r2, removal_r4, addition_k4):
     experiments = (removal_r3, removal_r2, removal_r4, addition_k4)
-    # a trial whose replication is not exact raises; each that ran holds r copies of F bits
+    # every placement's replication is exact by construction; each holds r copies of F bits
     flags = [sum(t.storage_after.values()) == e.config.replication * e.config.num_bits
              for e in experiments for t in e.trials]
     # direct sweep on one fresh trial of each event kind

@@ -17,7 +17,6 @@ from coded_rebalance import (
     bin_addition,
     build_database,
     encode_addition,
-    full_support,
     node_storage_counts,
 )
 from coded_rebalance.rng import STREAM_ADDITION_BINNING
@@ -228,7 +227,7 @@ def test_encode_accepts_an_equal_copy_of_the_placement():
     directory = bin_addition(db, RngSpec(105))
     place = db.placement
     copy = Database(
-        PlacementMap(place.nodes, place.replication, place.support, place.set_index.copy()),
+        PlacementMap(place.nodes, place.replication, place.set_index.copy()),
         db.file,
     )
     key = lambda cw: (cw.sender, cw.group, cw.constituents, cw.payload.tobytes())
@@ -238,11 +237,10 @@ def test_encode_accepts_an_equal_copy_of_the_placement():
 
 
 def test_encode_rejects_a_placement_with_another_support():
-    # same nodes, replication and set indices, but the indices name other sets
+    # same replication and set indices, but other nodes, so the indices name other sets
     db = build_database(4, 2, 1000, RngSpec(106))
     directory = bin_addition(db, RngSpec(106))
-    place = db.placement
-    other = PlacementMap(place.nodes, 2, full_support((1, 2, 3, 5), 2), place.set_index)
+    other = PlacementMap((1, 2, 3, 5), 2, db.placement.set_index)
     with pytest.raises(DirectoryMismatch):
         encode_addition(Database(other, db.file), directory)
 

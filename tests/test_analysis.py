@@ -251,7 +251,7 @@ def test_addition_single_bit_load_dichotomy():
 def test_uniformity_perfectly_uniform_counts():
     support = full_support((1, 2, 3, 4), 2)
     index = np.arange(60, dtype=np.int32) % len(support)
-    placement = PlacementMap((1, 2, 3, 4), 2, support, index)
+    placement = PlacementMap((1, 2, 3, 4), 2, index)
     check = uniformity_check(placement, support)
     assert check.max_relative_error == 0.0
     assert check.chi_square_statistic == 0.0
@@ -262,14 +262,14 @@ def test_uniformity_perfectly_uniform_counts():
 def test_uniformity_rejects_out_of_support_sets():
     support = full_support((1, 2, 3, 4), 2)
     index = np.zeros(10, dtype=np.int32)
-    placement = PlacementMap((1, 2, 3, 4), 2, support, index)
+    placement = PlacementMap((1, 2, 3, 4), 2, index)
     with pytest.raises(SupportViolation):
         uniformity_check(placement, support[1:])
 
 
 def test_uniformity_normalizes_unsorted_sets_and_numpy_ints():
     support = full_support(np.array([4, 3, 2, 1]), 2)
-    placement = PlacementMap((1, 2, 3, 4), 2, support, np.arange(12, dtype=np.int32) % 6)
+    placement = PlacementMap((1, 2, 3, 4), 2, np.arange(12, dtype=np.int32) % 6)
     check = uniformity_check(placement, [(b, np.int64(a)) for a, b in support])
     assert check.support == support
     assert all(type(n) is int for s in check.support for n in s)

@@ -27,6 +27,7 @@ from coded_rebalance import (
     node_storage_counts,
     verify_r_balanced,
 )
+from coded_rebalance import database
 from coded_rebalance.database import CHUNK, NodeSets, in_background
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_VALUES
 
@@ -195,12 +196,25 @@ def test_values_at_rejects_a_bit_outside_the_file():
 
 
 def test_file_instance_rejects_malformed_values_and_bytes():
-    for values in (np.zeros((2, 4), np.uint8), np.array([0, 2, 1]), np.empty(0, np.uint8)):
+    for values in (np.zeros((2, 4), np.uint8), np.array([0, 2, 1]), np.empty(0, np.uint8),
+                   np.array([256, 1]), np.array([-1, 0]), np.array([1.0, 0.0])):
         with pytest.raises(InvalidParameters):
             FileInstance.from_values(values)
     for num_bits, size in ((8, 2), (9, 1), (0, 0)):
         with pytest.raises(InvalidParameters):
             FileInstance(num_bits, np.zeros(size, np.uint8))
+    # bytes that a cast to uint8 would wrap or truncate: 300 -> 44, -1 -> 255, 1.7 -> 1
+    for packed in (np.array([300, 0]), np.array([-1, 0]), np.array([1.7, 2.2]), np.array([True])):
+        with pytest.raises(InvalidParameters):
+            FileInstance(8 * packed.size, packed)
+
+
+def test_file_instance_keeps_uint8_bytes_and_casts_other_integers_in_range():
+    packed = np.array([44, 255], np.uint8)
+    assert FileInstance(16, packed).packed is packed  # no copy, made read-only
+    assert not packed.flags.writeable
+    wide = FileInstance(16, np.array([44, 255], np.int64)).packed
+    assert wide.dtype == np.uint8 and wide.tolist() == [44, 255]
 
 
 @pytest.mark.parametrize("F", [0, -3])
@@ -221,7 +235,6 @@ def test_verify_r_balanced_fresh_database():
     db = build_database(6, 3, 10**6, RngSpec(4))
     report = verify_r_balanced(db, tolerance=0.01)
     assert report.replication_ok
-    assert report.offending_bits == ()
     assert report.storage_ok
     assert report.passed
 
@@ -241,65 +254,73 @@ def test_full_support_is_node_sets_of_ascending_python_ints():
     assert type(support + ((1, 2),)) is tuple  # concatenation keeps no promise
 
 
-def test_verify_r_balanced_reports_truncated_bit():
-    db = build_database(6, 3, 200, RngSpec(4))
-    place = db.placement
-    # append an under-sized set and point one bit at it
-    broken_support = place.support + ((1, 2),)
-    idx = place.set_index.copy()
-    idx[17] = len(broken_support) - 1
-    tampered = Database(
-        PlacementMap(place.nodes, place.replication, broken_support, idx), db.file
-    )
-    report = verify_r_balanced(tampered, tolerance=0.5)
-    assert not report.replication_ok
-    assert report.offending_bits == (17,)
+@pytest.mark.parametrize(
+    "nodes,r,set_index",
+    [
+        ((1, 1, 2), 2, np.zeros(3, np.int32)),  # a node named twice
+        ((2, 1, 3), 2, np.zeros(3, np.int32)),  # nodes out of order
+        ((1, 2, 3), 0, np.zeros(3, np.int32)),
+        ((1, 2, 3), 4, np.zeros(3, np.int32)),
+        ((1, 2, 3), 2, np.zeros((3, 1), np.int32)),
+        ((1, 2, 3), 2, np.zeros(3, np.float64)),
+    ],
+)
+def test_placement_rejects_input_that_would_not_give_each_bit_r_distinct_holders(
+        nodes, r, set_index):
+    with pytest.raises(InvalidParameters):
+        PlacementMap(nodes, r, set_index)
 
 
-@pytest.mark.parametrize("wrong", [(1, 4), (1, 1)])
-def test_verify_r_balanced_reports_a_set_naming_an_unknown_or_repeated_node(wrong):
-    # each is two names long, but names fewer than two distinct nodes of the placement
-    place = PlacementMap((1, 2, 3), 2, ((1, 2), wrong), np.array([0, 1, 0], dtype=np.int32))
-    db = Database(place, FileInstance.from_values(np.zeros(3, np.uint8)))
-    report = verify_r_balanced(db, tolerance=1.0)
-    assert not report.replication_ok
-    assert report.offending_bits == (1,)
+def test_support_is_the_full_support_built_on_first_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(database, "full_support", lambda *a: built.append(a) or full_support(*a))
+    place = draw_placement(6, 3, 500, RngSpec(5))
+    node_storage_counts(Database(place, draw_file(500, RngSpec(5))))  # set counts and members
+    assert built == [] and "support" not in vars(place)  # no tuple built so far
+    assert place.support == full_support(range(1, 7), 3) and type(place.support) is NodeSets
+    assert place.support is place.support and len(built) == 1
+
+
+def test_node_set_rejects_a_bit_outside_the_file():
+    place = draw_placement(4, 2, 10, RngSpec(1))
+    assert place.node_set(9) == place.support[int(place.set_index[9])]
+    for bit in (-1, 10):
+        with pytest.raises(IndexError):
+            place.node_set(bit)
 
 
 @st.composite
-def placements_with_wrong_sized_sets(draw):
-    """A full support plus up to four under- or over-sized sets, shuffled;
-    bits draw from a random subset of it, so some wrong-sized sets are
-    populated and some are not."""
-    K = draw(st.integers(2, 6))
+def random_placements(draw):
+    """A placement of up to 200 bits over K <= 6 nodes, any r, with each
+    bit's set index drawn in range, so some sets may stay empty."""
+    K = draw(st.integers(1, 6))
     r = draw(st.integers(1, K))
-    nodes = tuple(range(1, K + 1))
-    wrong_size = st.sampled_from([n for n in range(1, K + 1) if n != r])
-    extra = draw(st.lists(
-        wrong_size.flatmap(lambda n: st.permutations(nodes).map(lambda p: tuple(sorted(p[:n])))),
-        max_size=4,
-    ))
-    support = tuple(draw(st.permutations(full_support(nodes, r) + tuple(extra))))
-    used = draw(st.lists(st.integers(0, len(support) - 1), min_size=1, unique=True))
+    num_sets = math.comb(K, r)
     set_index = np.array(
-        draw(st.lists(st.sampled_from(used), min_size=1, max_size=200)), dtype=np.int32
+        draw(st.lists(st.integers(0, num_sets - 1), min_size=1, max_size=200)), dtype=np.int32
     )
-    placement = PlacementMap(nodes, r, support, set_index)
+    placement = PlacementMap(tuple(range(1, K + 1)), r, set_index)
     return Database(placement, FileInstance.from_values(np.zeros(set_index.size, np.uint8)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(db=placements_with_wrong_sized_sets())
+@given(db=random_placements())
 def test_verify_r_balanced_matches_the_per_bit_reference(db):
     place = db.placement
-    sizes = np.array([len(s) for s in place.support])
-    bad = sizes[place.set_index] != place.replication
+    sets = list(combinations(place.nodes, place.replication))  # the per-set reference
     report = verify_r_balanced(db, tolerance=1.0)
-    assert place.members.tolist() == [[n in s for s in place.support] for n in place.nodes]
-    assert report.replication_ok == (not bad.any())
-    assert report.offending_bits == tuple(int(i) for i in np.flatnonzero(bad))
+    assert place.members.tolist() == [[n in s for s in sets] for n in place.nodes]
+    assert report.replication_ok
+    assert all(place.node_set(i) == sets[s] for i, s in enumerate(place.set_index.tolist()))
     for node, load in report.node_loads.items():
         assert load == sum(node in place.node_set(i) for i in range(db.num_bits))
+
+
+def test_verify_r_balanced_rejects_a_set_index_outside_the_support():
+    place = PlacementMap((1, 2, 3, 4), 2, np.array([0, 6, 1], dtype=np.int32))  # C(4, 2) = 6
+    db = Database(place, FileInstance.from_values(np.zeros(3, np.uint8)))
+    with pytest.raises(InvalidParameters):
+        verify_r_balanced(db)
 
 
 def test_set_counts_is_cached_read_only_and_equal_to_bincount():
@@ -332,8 +353,7 @@ def test_set_index_is_stored_narrow_with_the_same_draws(K, r, dtype):
 
 
 def test_set_counts_rejects_a_set_index_outside_the_support():
-    support = full_support((1, 2, 3), 2)
-    place = PlacementMap((1, 2, 3), 2, support, np.array([0, 3], dtype=np.int32))
+    place = PlacementMap((1, 2, 3), 2, np.array([0, 3], dtype=np.int32))
     with pytest.raises(InvalidParameters):
         place.set_counts()
 

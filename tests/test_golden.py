@@ -1,7 +1,9 @@
 """Golden outputs: the serialized experiment must not change byte for byte.
 
 Each configuration's JSON and CSV documents are stored under
-``tests/golden/``. A change that alters them on purpose re-records them with
+``tests/golden/``, and the ``rebalance-sim --walkthrough`` stdout of a few
+runs under ``tests/golden/walkthrough/``. A change that alters them on
+purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -22,6 +24,7 @@ from coded_rebalance import (
     removal,
     run_experiment,
 )
+from coded_rebalance.cli import format_walkthrough
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -36,6 +39,16 @@ CONFIGS = {
 }
 FORMATS = ("json", "csv")
 
+# rebalance-sim --bits 2000 --walkthrough with these options, by file name
+WALKTHROUGHS = {
+    "remove-6-k6-r3": ExperimentConfig(6, 3, "remove", num_bits=2000, removed_node=6),
+    "add-k4-r2": ExperimentConfig(4, 2, "add", num_bits=2000),
+    "remove-3-k7-r4-seed4": ExperimentConfig(7, 4, "remove", num_bits=2000, removed_node=3,
+                                             master_seed=4),
+    "remove-1-k6-r2": ExperimentConfig(6, 2, "remove", num_bits=2000, removed_node=1),
+    "remove-9-k9-r5": ExperimentConfig(9, 5, "remove", num_bits=2000, removed_node=9),
+}
+
 
 @lru_cache(maxsize=None)
 def document(name: str, fmt: str) -> str:
@@ -47,6 +60,12 @@ def document(name: str, fmt: str) -> str:
 def test_emitted_bytes_match_golden(name, fmt):
     expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert document(name, fmt).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name", sorted(WALKTHROUGHS))
+def test_walkthrough_matches_golden(name):
+    expected = (GOLDEN / "walkthrough" / f"{name}.txt").read_bytes()
+    assert format_walkthrough(WALKTHROUGHS[name]).encode("utf-8") == expected
 
 
 @pytest.mark.parametrize("name", ["remove-r3", "add-r2"])
@@ -78,3 +97,7 @@ if __name__ == "__main__":
     for name in sorted(CONFIGS):
         for fmt in FORMATS:
             (GOLDEN / f"{name}.{fmt}").write_bytes(document(name, fmt).encode("utf-8"))
+    (GOLDEN / "walkthrough").mkdir(exist_ok=True)
+    for name, config in WALKTHROUGHS.items():
+        (GOLDEN / "walkthrough" / f"{name}.txt").write_bytes(
+            format_walkthrough(config).encode("utf-8"))

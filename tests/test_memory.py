@@ -20,8 +20,8 @@ from coded_rebalance import (
 from coded_rebalance.database import CHUNK
 
 F = 10**6
-# Room for the fixed-size part of a call: support tuples, the directory
-# object, per-key tables and the like.
+# Room for the fixed-size part of a call: the support's tuples where a call
+# reads them, the directory object, per-key tables and the like.
 FIXED = 64 * 1024
 
 

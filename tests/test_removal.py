@@ -566,7 +566,7 @@ def test_encode_rejects_a_placement_that_differs_outside_the_removed_store():
     )
     set_index = place.set_index.copy()
     set_index[bit] = other
-    moved = Database(PlacementMap(place.nodes, 3, place.support, set_index), db.file)
+    moved = Database(PlacementMap(place.nodes, 3, set_index), db.file)
     assert np.array_equal(node_contents(moved, 6), np.sort(directory.box_bits))
     with pytest.raises(DirectoryMismatch):
         encode_removal(moved, directory)
@@ -577,7 +577,7 @@ def test_encode_accepts_an_equal_copy_of_the_placement():
     directory = bin_removal(db, 6, RngSpec(84))
     place = db.placement
     copy = Database(
-        PlacementMap(place.nodes, place.replication, place.support, place.set_index.copy()),
+        PlacementMap(place.nodes, place.replication, place.set_index.copy()),
         db.file,
     )
     assert copy.placement is not place
