@@ -20,6 +20,12 @@ from .database import (
 )
 from .exceptions import DirectoryMismatch, InvalidLabel, RebalanceError
 
+# Packets are XORed into payloads one slice per packet, or, where the
+# packets of a chunk or group of rows average fewer bits than this, all at
+# once by an indexed numpy call: one slice costs about what indexing this
+# many bits does.
+SCATTER_BITS = 64
+
 
 @dataclass(frozen=True)
 class Codeword:
@@ -115,8 +121,10 @@ class BoxDirectory:
     bit); ``packet_bits`` returns intp.
 
     ``per_bit`` walks ``box_bits`` in box order with a per-key fact spread
-    over the bits; ``box_values``, the file's values in ``box_bits`` order,
-    from which packets are sliced, is gathered once per file.
+    over the bits. Packets are read from the packed file, with
+    ``FileInstance.values_at``, by the callers that XOR them, a ``CHUNK``
+    of ``box_bits`` or a group of rows per read; a directory keeps no
+    values and no state per file.
 
     Each subclass states its box layout once, in ``table``: per box key,
     its codeword's ``sender`` and its bits' ``new_set``. From it come
@@ -129,12 +137,9 @@ class BoxDirectory:
     placement: PlacementMap = field(repr=False)
     box_bits: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    _values: tuple[FileInstance, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def span(self, key: int) -> slice:
-        """Where box ``key`` lies in ``box_bits`` and in ``box_values``."""
+        """Where box ``key`` lies in ``box_bits``."""
         return slice(self.offsets[key], self.offsets[key + 1])
 
     @cached_property
@@ -191,34 +196,44 @@ class BoxDirectory:
             sizes = np.diff(np.clip(self.offsets[first : last + 1], begin, begin + bits.size))
             yield begin, bits, np.repeat(per_key[first:last], sizes)
 
-    def box_values(self, file: FileInstance) -> np.ndarray:
-        """``file.values_at(box_bits)``, read-only: box ``k``'s packet is
-        ``box_values(file)[offsets[k]:offsets[k + 1]]``. Gathered once and
-        kept for the last file asked about."""
-        if self._values is None or self._values[0] is not file:
-            values = file.values_at(self.box_bits)
-            values.flags.writeable = False
-            self._values = (file, values)
-        return self._values[1]
+    def payloads(self, file: FileInstance) -> tuple[np.ndarray, np.ndarray]:
+        """Each row of ``rows``: its packets XORed, zero-padded to the row's
+        longest, laid end to end in one buffer; and the rows' offsets in it.
 
-    def row_xors(self, file: FileInstance, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For a block of the schedule's ``rows``: each row's packets XORed,
-        zero-padded to the row's longest, laid end to end in one buffer; and
-        the offsets of the rows in it."""
-        sizes = np.diff(self.offsets)[rows]
-        starts = np.concatenate(([0], np.cumsum(sizes.max(axis=1))))
-        values = self.box_values(file)
+        Walks ``box_bits`` in key order a ``CHUNK`` at a time, reading each
+        chunk's values with one ``file.values_at``, and XORs each box's piece
+        of the chunk into its row's slot: one slice at a time, or all in one
+        scatter where the pieces average fewer than ``SCATTER_BITS`` bits.
+        """
+        rows, offsets = self.rows, self.offsets  # rows first: its sort peaks on its own
+        starts = np.concatenate(([0], np.cumsum(np.diff(offsets)[rows].max(axis=1))))
+        slot = np.empty(offsets.size - 1, dtype=np.int64)
+        slot[rows] = starts[:-1, None]  # per key, its row's start in the buffer
+        keys = np.flatnonzero(offsets[1:] != offsets[:-1])  # boxes that tile box_bits
+        begins = offsets[keys]
+        moves = slot[keys] - begins  # per box, from box_bits to the buffer
+        del slot, keys
         out = np.zeros(starts[-1], dtype=np.uint8)
-        row, col = np.nonzero(sizes)  # the non-empty boxes, row by row
-        at, begins, lengths = starts[row], self.offsets[rows[row, col]], sizes[row, col]
-        del sizes, row, col  # freed before the boxes become Python ints
-        for start, begin, size in zip(at.tolist(), begins.tolist(), lengths.tolist()):
-            out[start : start + size] ^= values[begin : begin + size]
+        for begin in range(0, self.box_bits.size, CHUNK):
+            values = file.values_at(self.box_bits[begin : begin + CHUNK])
+            end = begin + values.size
+            # The boxes first..last-1 overlap the chunk; their pieces start at cuts.
+            first = np.searchsorted(begins, begin, side="right") - 1
+            last = np.searchsorted(begins, end)
+            cuts = np.maximum(begins[first:last], begin)
+            if cuts.size * SCATTER_BITS > values.size:
+                at = np.repeat(moves[first:last], np.diff(cuts, append=end))
+                at += np.arange(begin, end)
+                np.bitwise_xor.at(out, at, values)
+                continue
+            for lo, hi, move in zip(cuts.tolist(), [*cuts[1:].tolist(), end],
+                                    moves[first:last].tolist()):
+                out[lo + move : hi + move] ^= values[lo - begin : hi - begin]
         return out, starts
 
     def schedule(self, file: FileInstance) -> Schedule:
         """One codeword per row of ``rows``, sent by its first box's sender."""
-        return Schedule(self, *self.row_xors(file, self.rows))
+        return Schedule(self, *self.payloads(file))
 
     def check_placement(self, db: Database) -> None:
         """Raise ``DirectoryMismatch`` unless ``db`` has the placement binned from.
@@ -239,7 +254,8 @@ class BoxDirectory:
     def commit(self) -> PlacementMap:
         """The placement on ``new_nodes`` after each binned bit moves to its
         box's ``new_set``. Every other bit keeps its set, which must lie in
-        the new support; ``RebalanceError`` otherwise."""
+        the new support; ``RebalanceError`` otherwise. The new support's
+        tuples, built for the lookup, become the placement's ``support``."""
         place = self.placement
         new_support = full_support(self.new_nodes, place.replication)
         unmapped = len(new_support)  # the index of a set outside the new support
@@ -257,4 +273,6 @@ class BoxDirectory:
             new_index[bits] = new_sets
         if new_index.max(initial=0) >= unmapped:
             raise RebalanceError("internal error: a bit's new set lies outside the new support")
-        return PlacementMap(self.new_nodes, place.replication, new_index)
+        placement = PlacementMap(self.new_nodes, place.replication, new_index)
+        placement.adopt_support(new_support)
+        return placement

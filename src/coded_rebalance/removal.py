@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codeword import BoxDirectory, Codeword, Schedule, group_bits, packing
+from .codeword import SCATTER_BITS, BoxDirectory, Codeword, Schedule, group_bits, packing
 from .database import CHUNK, Database, NodeSet, PlacementMap, in_background, index_dtype
 from .exceptions import DecodeVerificationError, NotARecipient, ReplicationOutOfRange, UnknownNode
 from .rng import STREAM_REMOVAL_BINNING, RngSpec
@@ -235,24 +235,30 @@ def decode_removal(
 
     directory.check_placement(db)
     held = db.placement.support_membership(node)
-    values = directory.box_values(db.file)
     acc = codeword.payload.copy()
+    cancelled = []  # the packets to XOR away, read together once all are checked
     for label, true_len in codeword.constituents:
         key = directory.key_of(label)
-        packet = values[directory.span(key)]
-        if packet.size != true_len or true_len > acc.size:
+        span = directory.span(key)
+        size = int(span.stop - span.start)
+        if size != true_len or true_len > acc.size:
             raise DecodeVerificationError(
-                f"node {node} cannot decode box {label}: {packet.size} bits, "
+                f"node {node} cannot decode box {label}: {size} bits, "
                 f"stated {true_len}, in a payload of {acc.size}"
             )
         if label.target == node:
             continue
-        if packet.size and (directory.misplaced[key] or not held[directory.table["set"][key]]):
+        if size and (directory.misplaced[key] or not held[directory.table["set"][key]]):
             raise DecodeVerificationError(
                 f"node {node} cannot cancel box {label}: bits outside its store "
                 "or outside the box's set"
             )
-        acc[: packet.size] ^= packet
+        cancelled.append(directory.box_bits[span])
+    values = db.file.values_at(np.concatenate([directory.box_bits[:0], *cancelled]))
+    read = 0
+    for packet in cancelled:
+        acc[: packet.size] ^= values[read : read + packet.size]
+        read += packet.size
     bits = directory.packet_bits(demanded)  # as long as its constituent states
     return bits, acc[: bits.size]
 
@@ -282,18 +288,46 @@ def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
 
 def _check_payloads(db: Database, directory: BinDirectoryRemoval, schedule: Schedule) -> None:
     """Raise ``DecodeVerificationError`` unless every payload is its row's
-    XOR, so a recipient that cancels the rest is left with its packet."""
-    rows, starts = directory.rows, schedule.starts
-    lengths = np.diff(directory.offsets)[rows].max(axis=1)
+    XOR, so a recipient that cancels the rest is left with its packet.
+
+    The rows are walked in broadcast order, not in the encoder's key order:
+    a group of rows at a time, the rows whose bits end in the same ``CHUNK``,
+    with one ``values_at`` read of the group's bits in row order. Packets of
+    ``SCATTER_BITS`` or more on average are XORed out of a copy of their
+    rows' payloads, which must leave only zeros, the padding included;
+    shorter ones are counted into the payload bits they cover, whose values
+    must be the parities of those counts.
+    """
+    rows, starts, offsets, box_bits = (directory.rows, schedule.starts, directory.offsets,
+                                       directory.box_bits)
+    sizes = np.diff(offsets)[rows]
+    lengths = sizes.max(axis=1)
     if schedule.payload.size != starts[-1] or not np.array_equal(np.diff(starts), lengths):
         raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
-    # The XORs are recomputed a group of rows at a time, the rows whose
-    # payloads end in the same CHUNK of the schedule, so no second buffer of
-    # the whole schedule is made.
-    groups = np.flatnonzero(np.diff(np.cumsum(lengths) // CHUNK)) + 1
-    for first, stop in zip([0, *groups.tolist()], [*groups.tolist(), len(rows)]):
-        payload, _ = directory.row_xors(db.file, rows[first:stop])
-        if not np.array_equal(schedule.payload[starts[first] : starts[stop]], payload):
+    groups = (np.flatnonzero(np.diff(np.cumsum(sizes.sum(axis=1)) // CHUNK)) + 1).tolist()
+    del sizes
+    for first, stop in zip([0, *groups], [*groups, len(rows)]):
+        keys = rows[first:stop].ravel()
+        begins, sizes = offsets[keys], offsets[keys + 1] - offsets[keys]
+        at = np.repeat(starts[first:stop] - starts[first], rows.shape[1])  # rows' starts, per box
+        filled = np.flatnonzero(sizes)
+        begins, sizes, at = begins[filled], sizes[filled], at[filled]
+        reads = np.cumsum(sizes) - sizes  # each packet's start among the group's bits
+        payload = schedule.payload[starts[first] : starts[stop]]
+        if filled.size * SCATTER_BITS > sizes.sum():
+            bit = np.arange(sizes.sum())
+            values = db.file.values_at(box_bits[np.repeat(begins - reads, sizes) + bit])
+            places = np.repeat(at - reads, sizes) + bit
+            ones = np.bincount(places[values == 1], minlength=payload.size)
+            passed = np.array_equal(ones & 1, payload)
+        else:
+            packets = [box_bits[b : b + n] for b, n in zip(begins.tolist(), sizes.tolist())]
+            values = db.file.values_at(np.concatenate([box_bits[:0], *packets]))
+            residue = payload.copy()
+            for place, read, size in zip(at.tolist(), reads.tolist(), sizes.tolist()):
+                residue[place : place + size] ^= values[read : read + size]
+            passed = not residue.any()
+        if not passed:
             raise DecodeVerificationError("a payload is not the XOR of its codeword's packets")
 
 

@@ -26,6 +26,7 @@ from coded_rebalance import (
     removal_load,
     uniformity_check,
 )
+from coded_rebalance import codeword, database
 from coded_rebalance.database import NodeSets
 
 
@@ -274,6 +275,29 @@ def test_uniformity_normalizes_unsorted_sets_and_numpy_ints():
     assert check.support == support
     assert all(type(n) is int for s in check.support for n in s)
     assert uniformity_check(placement, support).support is support
+
+
+@pytest.mark.parametrize("event", ["remove", "add"])
+def test_a_rebalance_and_its_uniformity_check_build_the_new_support_once(monkeypatch, event):
+    db = build_database(6, 3, 3000, RngSpec(8))
+    new_nodes = (1, 2, 3, 4, 5) if event == "remove" else (1, 2, 3, 4, 5, 6, 7)
+    expected = full_support(new_nodes, 3)
+    built = []
+
+    def counted(nodes, replication):
+        nodes = tuple(nodes)
+        built.append(nodes)
+        return full_support(nodes, replication)
+
+    monkeypatch.setattr(database, "full_support", counted)
+    monkeypatch.setattr(codeword, "full_support", counted)
+    if event == "remove":
+        new_db, _ = apply_removal_rebalance(db, 6, RngSpec(8))
+    else:
+        new_db, _ = apply_addition_rebalance(db, RngSpec(8))
+    check = uniformity_check(new_db.placement, expected)
+    assert new_db.nodes == new_nodes and check.total_observations == 3000
+    assert built.count(new_nodes) == 1
 
 
 def test_distribution_check_normalizes_a_plain_tuple_into_node_sets():

@@ -281,6 +281,18 @@ def test_support_is_the_full_support_built_on_first_read(monkeypatch):
     assert place.support is place.support and len(built) == 1
 
 
+def test_a_placement_adopts_only_its_own_full_support():
+    place = draw_placement(6, 3, 500, RngSpec(5))
+    for wrong in (full_support(range(1, 6), 3), full_support(range(2, 8), 3),
+                  full_support(range(1, 7), 2), tuple(full_support(range(1, 7), 3))):
+        with pytest.raises(InvalidParameters):
+            place.adopt_support(wrong)
+    assert "support" not in vars(place)
+    support = full_support(range(1, 7), 3)
+    place.adopt_support(support)
+    assert place.support is support
+
+
 def test_node_set_rejects_a_bit_outside_the_file():
     place = draw_placement(4, 2, 10, RngSpec(1))
     assert place.node_set(9) == place.support[int(place.set_index[9])]

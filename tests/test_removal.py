@@ -31,7 +31,8 @@ from coded_rebalance import (
     node_contents,
 )
 from coded_rebalance import database, removal
-from coded_rebalance.database import CHUNK
+from coded_rebalance.codeword import SCATTER_BITS, BoxDirectory
+from coded_rebalance.database import CHUNK, draw_file
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
 
 from box_reference import removal_boxes, table_boxes
@@ -449,6 +450,76 @@ def test_a_flipped_bit_anywhere_in_the_schedule_fails_the_payload_check(K, r, F)
             payload[at] ^= 1
             with pytest.raises(DecodeVerificationError):
                 removal._check_payloads(db, directory, Schedule(directory, payload, starts))
+
+
+def reference_payloads(db, directory):
+    """Every row's packets XORed and zero-padded, end to end, one box at a
+    time from the unpacked file."""
+    payloads = [np.zeros(0, np.uint8)]
+    for keys in directory.rows:
+        packets = [db.file.values[directory.box_bits[directory.span(k)]] for k in keys]
+        payload = np.zeros(max(p.size for p in packets), np.uint8)
+        for packet in packets:
+            payload[: packet.size] ^= packet
+        payloads.append(payload)
+    return np.concatenate(payloads)
+
+
+@pytest.mark.parametrize("F", [6000, 600_000])  # packets of about 50 bits, and of 5000
+def test_a_corrupt_encoder_routine_fails_apply_and_leaves_database_unchanged(monkeypatch, F):
+    # The check reads and XORs the packets itself, so a fault in the
+    # encoder's own XOR routine cannot pass it.
+    honest = BoxDirectory.payloads
+
+    def corrupt(directory, file):
+        payload, starts = honest(directory, file)
+        payload[payload.size // 2] ^= 1
+        return payload, starts
+
+    monkeypatch.setattr(BoxDirectory, "payloads", corrupt)
+    db = build_database(6, 3, F, RngSpec(45))
+    set_index, values = db.placement.set_index.copy(), db.file.values.copy()
+    with pytest.raises(DecodeVerificationError):
+        apply_removal_rebalance(db, 6, RngSpec(45))
+    assert db.nodes == (1, 2, 3, 4, 5, 6)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.values, values)
+
+
+def test_a_flipped_bit_among_short_packets_fails_the_payload_check():
+    # K=12, r=4: about 50 bits per box, so the encoder scatters each chunk
+    # and the check counts parities, over bits that span several CHUNKs.
+    db = build_database(12, 4, 600_000, RngSpec(46))
+    directory = bin_removal(db, 12, RngSpec(46))
+    assert directory.box_bits.size > 2 * CHUNK
+    assert (directory.offsets.size - 1) * SCATTER_BITS > directory.box_bits.size
+    schedule = encode_removal(db, directory)
+    assert np.array_equal(schedule.payload, reference_payloads(db, directory))
+    removal._check_payloads(db, directory, schedule)
+    starts = schedule.starts
+    for i in np.linspace(0, len(schedule) - 1, 9).astype(int).tolist():
+        for at in (starts[i], starts[i + 1] - 1):  # both ends of row i's payload
+            payload = schedule.payload.copy()
+            payload[at] ^= 1
+            with pytest.raises(DecodeVerificationError):
+                removal._check_payloads(db, directory, Schedule(directory, payload, starts))
+
+
+def test_one_directory_serves_two_files_of_its_placement():
+    # A directory keeps no values: encoded against each file in turn, it
+    # gives that file's payloads, and each recipient decodes that file's bits.
+    db = build_database(6, 3, 5000, RngSpec(47))
+    other = Database(db.placement, draw_file(5000, RngSpec(48)))
+    directory = bin_removal(db, 6, RngSpec(47))
+    for each in (db, other, db):
+        schedule = encode_removal(each, directory)
+        assert np.array_equal(schedule.payload, reference_payloads(each, directory))
+        for cw in schedule:
+            for label, _ in cw.constituents:
+                bits, values = decode_removal(label.target, cw, each, directory)
+                assert np.array_equal(values, each.file.values[bits])
+    assert not np.array_equal(encode_removal(db, directory).payload,
+                              encode_removal(other, directory).payload)
 
 
 def test_zero_length_codewords_are_recorded():
