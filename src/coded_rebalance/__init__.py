@@ -12,6 +12,7 @@ from .addition import (
     BinDirectoryAddition,
     apply_addition_rebalance,
     bin_addition,
+    draw_addition_codes,
     encode_addition,
 )
 from .analysis import (
@@ -108,6 +109,7 @@ __all__ = [
     "binomial_max_bound",
     "build_database",
     "decode_removal",
+    "draw_addition_codes",
     "draw_file",
     "draw_placement",
     "emit_results",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .codeword import BoxDirectory, Schedule, group_bits, packing
 from .database import CHUNK, Database, NodeSet, index_dtype
-from .exceptions import ReplicationOutOfRange
+from .exceptions import InvalidParameters, ReplicationOutOfRange
 from .rng import STREAM_ADDITION_BINNING, RngSpec
 
 
@@ -90,12 +90,44 @@ class BinDirectoryAddition(BoxDirectory):
         return self.labels[int(self.placement.set_index[bit]) * self.placement.replication + code]
 
 
-def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
+def draw_addition_codes(num_nodes: int, num_bits: int, rng: RngSpec) -> np.ndarray:
+    """Every bit's code, one of K+1 drawn uniformly, as ``index_dtype(K)``.
+
+    Draws are independent across bits and consumed in ascending bit order
+    from the trial's addition binning stream. They depend on nothing else,
+    so a caller may draw them ahead of the trial's placement.
+    """
+    # One whole int16 draw: chunked int16 draws differ from it, as numpy
+    # buffers 16-bit draws within a call.
+    wide = rng.generator(STREAM_ADDITION_BINNING).integers(
+        0, num_nodes + 1, size=num_bits, dtype=np.int16
+    )
+    if index_dtype(num_nodes) == np.uint16:
+        return wide.view(np.uint16)
+    # Narrowed in place and the buffer shrunk, so the draw peaks at 2 bytes
+    # per bit, not 3 as with astype. Codes [start, stop) land on bytes
+    # [start, stop), which held codes before start once stop <= 2 * start.
+    narrow = wide.view(np.uint8)
+    narrow[:1] = wide[:1]
+    start = 1
+    while start < num_bits:
+        stop = min(2 * start, start + CHUNK, num_bits)
+        np.copyto(narrow[start:stop], wide[start:stop], casting="unsafe")
+        start = stop
+    del narrow  # no view may remain when the buffer is reallocated
+    wide.resize((num_bits + 1) // 2, refcheck=False)
+    return wide.view(np.uint8)[:num_bits]
+
+
+def bin_addition(db: Database, rng: RngSpec, *,
+                 codes: np.ndarray | None = None) -> BinDirectoryAddition:
     """Assign every bit one of K+1 codes, uniformly.
 
-    Draws are independent across bits and consumed in ascending bit order;
-    ``group_bits`` then sorts the moving bits, packed with their box keys,
-    into boxes. The new node's id is one past the current largest.
+    The codes are ``draw_addition_codes`` of ``rng``, or the given
+    ``codes``: shape (F,), dtype ``index_dtype(K)``, values at most K, else
+    ``InvalidParameters``. ``group_bits`` then sorts the moving bits,
+    packed with their box keys, into boxes. The new node's id is one past
+    the current largest.
     """
     place = db.placement
     nodes = place.nodes
@@ -103,12 +135,12 @@ def bin_addition(db: Database, rng: RngSpec) -> BinDirectoryAddition:
     r = place.replication
     if r < 1 or r > num_nodes:
         raise ReplicationOutOfRange(f"addition needs 1 <= replication <= {num_nodes}")
-
-    # One whole int16 draw: chunked int16 draws differ from it, as numpy
-    # buffers 16-bit draws within a call.
-    codes = rng.generator(STREAM_ADDITION_BINNING).integers(
-        0, num_nodes + 1, size=place.num_bits, dtype=np.int16
-    ).astype(index_dtype(num_nodes))
+    if codes is None:
+        codes = draw_addition_codes(num_nodes, place.num_bits, rng)
+    elif (not isinstance(codes, np.ndarray) or codes.shape != (place.num_bits,)
+          or codes.dtype != index_dtype(num_nodes) or codes.max() > num_nodes):
+        raise InvalidParameters(f"need {place.num_bits} codes of dtype "
+                                f"{index_dtype(num_nodes)} in 0..{num_nodes}")
 
     num_keys = len(place.support) * r
     shift, word = packing(place.num_bits, num_keys)
@@ -152,14 +184,16 @@ def encode_addition(db: Database, directory: BinDirectoryAddition) -> Schedule:
     return directory.schedule(db.file)
 
 
-def apply_addition_rebalance(db: Database, rng: RngSpec) -> tuple[Database, Schedule]:
+def apply_addition_rebalance(db: Database, rng: RngSpec, *,
+                             codes: np.ndarray | None = None) -> tuple[Database, Schedule]:
     """Run the full addition protocol and commit the new placement.
 
     The new node stores the union of all shipped packets; each sender
     deletes what it shipped. Source deletion and newcomer insertion commit
     atomically, which is observationally equivalent to per-packet
-    transmit-then-delete. Returns the new database and the schedule.
+    transmit-then-delete. ``codes``, if given, are the bits' codes as
+    ``bin_addition`` takes them. Returns the new database and the schedule.
     """
-    directory = bin_addition(db, rng)
+    directory = bin_addition(db, rng, codes=codes)
     schedule = encode_addition(db, directory)
     return Database(directory.commit(), db.file), schedule

@@ -94,12 +94,13 @@ def in_background(fn: Callable[[], T]) -> Callable[..., T]:
 def count_keys(keys: np.ndarray, num_keys: int) -> np.ndarray:
     """``np.bincount(keys, minlength=num_keys)`` for keys in [0, num_keys).
 
-    Counts chunk by chunk, so no intp copy of the whole array is made.
-    Raises ``ValueError`` for a key outside the range.
+    Counts half a ``CHUNK`` at a time, so the intp copy ``np.bincount``
+    makes of its input takes no more than ``draw_placement``'s int32 draw
+    of a ``CHUNK``. Raises ``ValueError`` for a key outside the range.
     """
     counts = np.zeros(num_keys, dtype=np.int64)
-    for start in range(0, keys.size, CHUNK):
-        chunk = np.bincount(keys[start : start + CHUNK], minlength=num_keys)
+    for start in range(0, keys.size, CHUNK // 2):
+        chunk = np.bincount(keys[start : start + CHUNK // 2], minlength=num_keys)
         if chunk.size != num_keys:
             raise ValueError(f"keys must lie in [0, {num_keys})")
         counts += chunk

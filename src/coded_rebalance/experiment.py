@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .addition import apply_addition_rebalance
+from .addition import apply_addition_rebalance, draw_addition_codes
 from .analysis import (
     DistributionCheck,
     LoadReport,
@@ -123,9 +123,10 @@ class TrialResult:
     """One trial's outcome.
 
     ``wall_time_s`` runs from the trial's start to its result. From trial 1
-    on, the trial's placement was drawn ahead, beside the previous trial,
-    and only a wait for it counts. Wall times thus fall partly by
-    accounting; a run's trials per second is the end-to-end figure.
+    on, the trial's placement, and an addition trial's codes, were drawn
+    ahead, beside the previous trial, and only a wait for them counts. Wall
+    times thus fall partly by accounting; a run's trials per second is the
+    end-to-end figure.
     """
 
     trial: int
@@ -150,19 +151,29 @@ class ExperimentResult:
     pooled_uniformity: DistributionCheck
 
 
-def _draw_placement(config: ExperimentConfig, trial: int) -> PlacementMap:
-    """A trial's placement with its set counts: the part of a trial that
-    depends on nothing but the trial's own placement stream."""
+def _draw_inputs(config: ExperimentConfig, trial: int) -> tuple[PlacementMap, np.ndarray | None]:
+    """A trial's placement with its set counts and, for addition, its codes
+    (``None`` for removal): the part of a trial that depends on nothing but
+    the trial's own placement and addition binning streams.
+
+    The codes are drawn first: their int16 draw is shrunk to uint8 before
+    the set index is allocated. Drawn after the placement, they raised add-steady's
+    peak RSS by about 7% instead of 3.6%.
+    """
     spec = RngSpec(config.master_seed, trial=trial)
+    codes = None
+    if config.event == EVENT_ADD:
+        codes = draw_addition_codes(config.num_nodes, config.num_bits, spec)
     placement = draw_placement(config.num_nodes, config.replication, config.num_bits, spec)
     placement.set_counts()
-    return placement
+    return placement, codes
 
 
 def _run_trial(config: ExperimentConfig, spec: RngSpec, support, db: Database,
-               started: float) -> TrialResult:
+               started: float, codes: np.ndarray | None = None) -> TrialResult:
     """Rebalance and check the trial's database; ``started`` is the
-    ``time.perf_counter()`` its wall time counts from."""
+    ``time.perf_counter()`` its wall time counts from, and ``codes`` an
+    addition trial's codes, drawn from ``spec`` when ``None``."""
     trial = spec.trial
     before = node_storage_counts(db)
 
@@ -174,7 +185,7 @@ def _run_trial(config: ExperimentConfig, spec: RngSpec, support, db: Database,
         if report.total_transmitted_bits * (config.replication - 1) < report.realized_storage_bits:
             raise RebalanceError(f"trial {trial}: transmitted below the per-run floor")
     else:
-        new_db, schedule = apply_addition_rebalance(db, spec)
+        new_db, schedule = apply_addition_rebalance(db, spec, codes=codes)
         report = addition_load(schedule, config.num_nodes, config.replication, config.num_bits)
 
     balance = verify_r_balanced(new_db, config.balance_tolerance)
@@ -205,28 +216,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Trials use independent seed streams derived from (master_seed, trial
     index) and are aggregated by trial index, so results do not depend on
     execution order. The trials form a one-deep pipeline: while trial t
-    runs, trial t+1's placement and its set counts are drawn on a second
-    thread. Trial 0 draws its own; a one-trial run starts no thread. A
-    trial's wall time counts from before it waits for its placement, so
+    runs, a second thread draws trial t+1's inputs: for addition its codes,
+    then its placement and set counts; for removal the placement and set
+    counts only. Trial 0 draws its own; a one-trial run starts no thread.
+    A trial's wall time counts from before it waits for its inputs, so
     from trial 1 on it excludes the part drawn ahead.
     """
     config.validate()
     support = config.expected_support()
     trials: list[TrialResult] = []
-    pending = None  # joins the placement drawn ahead for the next trial
+    pending = None  # joins the inputs drawn ahead for the next trial
     for t in range(config.trials):
         started = time.perf_counter()
-        placement = pending() if pending else _draw_placement(config, t)
+        placement, codes = pending() if pending else _draw_inputs(config, t)
         pending = None
         spec = RngSpec(config.master_seed, trial=t)
         db = Database(placement, draw_file(config.num_bits, spec))
-        # Started only after the file is drawn: large arrays allocated at once
-        # race for the same free heap (when the file took a byte per bit, some
-        # K=6, r=3, F=10^7 runs' peak RSS rose by 15 MB, not the placement's 10).
+        # Started after the file is drawn: started before it, add-steady's
+        # peak RSS read 51.0-51.2 MB against 49.8-50.7 MB (15 s benchmark runs).
         if t + 1 < config.trials:
-            pending = in_background(lambda ahead=t + 1: _draw_placement(config, ahead))
+            pending = in_background(lambda ahead=t + 1: _draw_inputs(config, ahead))
         try:
-            trials.append(_run_trial(config, spec, support, db, started))
+            trials.append(_run_trial(config, spec, support, db, started, codes))
         except BaseException:
             if pending:
                 pending(drop=True)  # trial t's error is the one reported

@@ -11,14 +11,18 @@ from coded_rebalance import (
     Database,
     DirectoryMismatch,
     InvalidLabel,
+    InvalidParameters,
     PlacementMap,
     RngSpec,
     apply_addition_rebalance,
     bin_addition,
     build_database,
+    draw_addition_codes,
     encode_addition,
     node_storage_counts,
 )
+from coded_rebalance import addition
+from coded_rebalance.database import CHUNK, index_dtype
 from coded_rebalance.rng import STREAM_ADDITION_BINNING
 
 from box_reference import addition_boxes, table_boxes
@@ -184,6 +188,53 @@ def test_apply_moves_and_stays_follow_the_directory():
         else:
             assert label is None
             assert new == old
+
+
+@pytest.mark.parametrize("K,F", [(4, 1), (4, 2 * CHUNK + 3), (6, 1000), (300, 1001)])
+def test_codes_are_one_int16_draw_in_the_narrowest_dtype(K, F):
+    # narrowed in place a chunk at a time; an odd F leaves a pad byte unread
+    spec = RngSpec(109, trial=2)
+    codes = draw_addition_codes(K, F, spec)
+    drawn = spec.generator(STREAM_ADDITION_BINNING).integers(0, K + 1, size=F, dtype=np.int16)
+    assert codes.dtype == index_dtype(K) and codes.shape == (F,)
+    assert np.array_equal(codes, drawn)
+
+
+def test_apply_with_given_codes_equals_apply_drawing_them():
+    K, F, spec = 4, 20000, RngSpec(110)
+    db = build_database(K, 2, F, spec)
+    drawn_db, drawn = apply_addition_rebalance(db, spec)
+    given_db, given = apply_addition_rebalance(db, spec, codes=draw_addition_codes(K, F, spec))
+    payloads = lambda schedule: b"".join(c.payload.tobytes() for c in schedule)
+    assert payloads(given) == payloads(drawn)
+    assert np.array_equal(given_db.placement.set_index, drawn_db.placement.set_index)
+    assert node_storage_counts(given_db) == node_storage_counts(drawn_db)
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "int16", "uint16", "above K"])
+def test_apply_rejects_malformed_codes_before_binning(monkeypatch, fault):
+    K, F, spec = 4, 1000, RngSpec(111)
+    db = build_database(K, 2, F, spec)
+    codes = draw_addition_codes(K, F, spec)
+    codes = {
+        "short": codes[:-1],
+        "long": np.append(codes, codes[:1]),
+        "int16": codes.astype(np.int16),
+        "uint16": codes.astype(np.uint16),
+        "above K": np.where(np.arange(F) == 7, K + 1, codes).astype(codes.dtype),
+    }[fault]
+    set_index, packed = db.placement.set_index.copy(), db.file.packed.copy()
+    before = node_storage_counts(db)
+
+    def binned(*args):
+        raise AssertionError("malformed codes were binned")
+
+    monkeypatch.setattr(addition, "group_bits", binned)
+    with pytest.raises(InvalidParameters):
+        apply_addition_rebalance(db, spec, codes=codes)
+    assert np.array_equal(db.placement.set_index, set_index)
+    assert np.array_equal(db.file.packed, packed)
+    assert node_storage_counts(db) == before
 
 
 def test_apply_keeps_replication_factor():

@@ -13,6 +13,7 @@ from coded_rebalance import (
     ExperimentConfig,
     RebalanceError,
     RngSpec,
+    addition,
     build_database,
     cli,
     emit_results,
@@ -146,6 +147,29 @@ def test_each_later_placement_is_drawn_on_another_thread(monkeypatch):
     assert not any(drawn_on[t].is_alive() for t in (1, 2, 3))
 
 
+def test_each_later_trials_codes_are_drawn_on_another_thread(monkeypatch):
+    drawn_on = {}
+    draw = experiment.draw_addition_codes
+
+    def recording(K, F, rng):
+        drawn_on[rng.trial] = threading.current_thread()
+        return draw(K, F, rng)
+
+    def refuse(*args):
+        raise AssertionError("a trial drew its own codes")
+
+    monkeypatch.setattr(experiment, "draw_addition_codes", recording)
+    monkeypatch.setattr(addition, "draw_addition_codes", refuse)  # bin_addition's own draw
+    run_experiment(pipeline_config("add", 4))
+    assert sorted(drawn_on) == [0, 1, 2, 3]
+    assert drawn_on[0] is threading.current_thread()
+    assert all(drawn_on[t] is not threading.current_thread() for t in (1, 2, 3))
+    assert not any(drawn_on[t].is_alive() for t in (1, 2, 3))
+    drawn_on.clear()
+    run_experiment(pipeline_config("remove", 3))
+    assert drawn_on == {}  # a removal's codes depend on its placement
+
+
 def test_wall_time_counts_the_wait_for_the_placement_drawn_ahead(monkeypatch):
     draw = experiment.draw_placement
 
@@ -219,6 +243,26 @@ def test_a_failed_draw_ahead_reaches_the_caller(monkeypatch):
         return draw(K, r, F, rng)
 
     monkeypatch.setattr(experiment, "draw_placement", draw_ahead)
+    with pytest.raises(MemoryError) as raised:
+        run_experiment(pipeline_config("add", 4))
+    assert raised.value is error
+    assert set(threading.enumerate()) == threads
+    assert escaped == []
+
+
+def test_a_failed_codes_draw_ahead_reaches_the_caller(monkeypatch):
+    threads = set(threading.enumerate())
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    error = MemoryError("no room for trial 2's codes")
+    draw = experiment.draw_addition_codes
+
+    def draw_ahead(K, F, rng):
+        if rng.trial == 2:
+            raise error
+        return draw(K, F, rng)
+
+    monkeypatch.setattr(experiment, "draw_addition_codes", draw_ahead)
     with pytest.raises(MemoryError) as raised:
         run_experiment(pipeline_config("add", 4))
     assert raised.value is error

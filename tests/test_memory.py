@@ -15,6 +15,8 @@ from coded_rebalance import (
     bin_removal,
     build_database,
     encode_removal,
+    experiment,
+    removal,
     run_experiment,
 )
 from coded_rebalance.database import CHUNK
@@ -65,19 +67,52 @@ def peak_above_start(call):
     return out, peak - start
 
 
-def test_run_experiment_draws_at_most_one_placement_ahead(traced):
-    # While a trial runs, the next trial's uint8 set index is drawn: 1 byte
-    # per bit above a one-trial run. Addition trials run on one thread, so a
-    # trial's own peak does not vary with how threads interleave.
-    def config(trials):
-        return ExperimentConfig(num_nodes=6, replication=3, event="add", num_bits=F,
-                                trials=trials, master_seed=1)
+def inline(fn):
+    """``database.in_background`` run on the calling thread."""
+    value = fn()
+    return lambda drop=False: value
 
-    run_experiment(ExperimentConfig(num_nodes=6, replication=3, event="add",
-                                    num_bits=1000, trials=2))  # first-call caches
-    _, one = peak_above_start(lambda: run_experiment(config(1)))
-    _, three = peak_above_start(lambda: run_experiment(config(3)))
-    assert three <= one + F + FIXED
+
+# What the thread that draws the next trial holds beside the running trial:
+# an addition trial's uint8 codes and each trial's uint8 set index. Its
+# transients are the codes' int16 draw, narrowed in place (2 bytes per bit,
+# before the set index exists), and one CHUNK's worth of temporaries: the
+# int32 draw of the set index or np.bincount's intp copy of half a CHUNK.
+# When the thread runs late they meet the trial's own peak: tracemalloc
+# snapshots at the peak of runs with that thread delayed found the codes
+# narrowed by astype (3 bytes per bit) and a whole CHUNK's intp copy there.
+AHEAD = {"add": 2 * F + 4 * CHUNK, "remove": F + 4 * CHUNK}
+
+
+def pipeline_config(event, trials, num_bits=F):
+    return ExperimentConfig(num_nodes=6, replication=3, event=event, num_bits=num_bits,
+                            removed_node=6 if event == "remove" else None,
+                            trials=trials, master_seed=1)
+
+
+@pytest.mark.parametrize("event", ["add", "remove"])
+def test_the_inputs_drawn_ahead_peak_at_what_they_keep_plus_a_chunk(traced, event):
+    # so the bound below holds however the two threads interleave
+    tracemalloc.reset_peak()
+    start, _ = tracemalloc.get_traced_memory()
+    placement, codes = experiment._draw_inputs(pipeline_config(event, 2), 1)
+    kept, peak = tracemalloc.get_traced_memory()
+    assert placement.num_bits == F and (codes is None) == (event == "remove")
+    assert kept - start <= AHEAD[event] - 4 * CHUNK + FIXED
+    assert peak - start <= AHEAD[event] + FIXED
+
+
+@pytest.mark.parametrize("event", ["add", "remove"])
+def test_run_experiment_draws_at_most_one_trial_ahead(traced, monkeypatch, event):
+    # A removal's own helper thread makes its peak vary by about 0.5 bytes
+    # per bit between identical trials; run inline, it leaves the pipeline's
+    # thread the only one whose timing varies.
+    monkeypatch.setattr(removal, "in_background", inline)
+
+    run_experiment(pipeline_config(event, 2, num_bits=1000))  # first-call caches
+    _, one = peak_above_start(lambda: run_experiment(pipeline_config(event, 1)))
+    _, three = peak_above_start(lambda: run_experiment(pipeline_config(event, 3)))
+    assert three <= one + AHEAD[event] + FIXED
 
 
 # The four bounds below are the peaks measured in fresh processes plus
