@@ -33,7 +33,9 @@ cls = (2, 3)
 print(f"{R} codes name a move box, one per holder; the other K-r+1 = {K - R + 1} "
       f"codes mean stay")
 print(f"bits of the class absent from {cls}:")
-for label in (lab for lab in directory.labels if lab.bit_class == cls):
+# every move box's label, built on request from its table entry and group
+labels = directory.labels_of(directory.table, map(directory.group_of, directory.table))
+for label in (lab for lab in labels if lab.bit_class == cls):
     bits = directory.packet_bits(label)
     print(f"  move: shipped and deleted by node {label.node}: {bits.size} bits")
 class_bits = exclusive_group(db, cls)

@@ -34,7 +34,9 @@ print()
 print("STEP 1: binning -- every affected bit picks one box of its class")
 directory = bin_removal(db, REMOVED, spec)
 cls = (1, 2, 3)
-boxes = [lab for lab in directory.labels if tuple(sorted((lab.target, *lab.remainder))) == cls]
+# every box's label, built on request from its table entry and group
+labels = directory.labels_of(directory.table, map(directory.group_of, directory.table))
+boxes = [lab for lab in labels if tuple(sorted((lab.target, *lab.remainder))) == cls]
 print(f"class absent from {cls} has {len(boxes)} boxes:")
 for label in boxes:
     bits = directory.packet_bits(label)

@@ -68,9 +68,12 @@ class BinDirectoryAddition(BoxDirectory):
         return table.reshape(-1)
 
     def labels_of(self, boxes: np.ndarray, groups: list[NodeSet]):
-        """The move box labels of table entries ``boxes`` with their ``groups``
-        as classes; those of one class share its tuple."""
+        """The move box labels of table entries ``boxes``, with ``groups`` as classes."""
         return map(AdditionBoxLabel, groups, boxes["sender"].tolist())
+
+    def codeword_of(self, label: AdditionBoxLabel) -> tuple[int, NodeSet]:
+        """The sender and group of the codeword that carries ``label``."""
+        return label.node, label.bit_class
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -87,7 +90,8 @@ class BinDirectoryAddition(BoxDirectory):
         code = int(self.codes[bit])
         if code >= self.placement.replication:
             return None
-        return self.labels[int(self.placement.set_index[bit]) * self.placement.replication + code]
+        key = int(self.placement.set_index[bit]) * self.placement.replication + code
+        return self.labels_at([key])[0]
 
 
 def draw_addition_codes(num_nodes: int, num_bits: int, rng: RngSpec) -> np.ndarray:

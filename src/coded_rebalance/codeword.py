@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +34,14 @@ class Codeword:
     (pre-padding) length. The payload length equals the longest
     constituent; a codeword whose constituents are all empty is still a
     record, with a zero-length payload that is never put on the wire.
+    ``row`` is the broadcast's row of its directory's ``rows``.
     """
 
     sender: int
     group: NodeSet
     payload: np.ndarray
     constituents: tuple[tuple[object, int], ...]
+    row: int
 
     @property
     def payload_bits(self) -> int:
@@ -49,9 +50,9 @@ class Codeword:
     def __eq__(self, other):
         if not isinstance(other, Codeword):
             return NotImplemented
-        heads = (self.sender, self.group, self.constituents)
-        return heads == (other.sender, other.group, other.constituents) and np.array_equal(
-            self.payload, other.payload)
+        return (self.sender, self.group, self.constituents, self.row) == (
+            other.sender, other.group, other.constituents, other.row
+        ) and np.array_equal(self.payload, other.payload)
 
 
 class Schedule(Sequence):
@@ -71,11 +72,9 @@ class Schedule(Sequence):
         i, d = range(len(self))[i], self.directory
         row = d.rows[i]
         sizes = (d.offsets[row + 1] - d.offsets[row]).tolist()
-        boxes = d.table[row]  # the row's own entries, not every key's group or label
-        group = d.group_of(boxes[0])  # which the whole row shares
-        return Codeword(int(boxes["sender"][0]), group,
-                        self.payload[self.starts[i] : self.starts[i + 1]],
-                        tuple(zip(d.labels_of(boxes, [group] * len(boxes)), sizes)))
+        labels = d.labels_at(row)
+        payload = self.payload[self.starts[i] : self.starts[i + 1]]
+        return Codeword(*d.codeword_of(labels[0]), payload, tuple(zip(labels, sizes)), i)
 
 
 def packing(num_bits: int, num_keys: int) -> tuple[int, np.dtype]:
@@ -128,10 +127,11 @@ class BoxDirectory:
 
     Each subclass states its box layout once, in ``table``: per box key,
     its codeword's ``sender`` and its bits' ``new_set``. From it come
-    ``rows`` (one codeword's box keys per row, in broadcast order), with
-    ``new_nodes`` the commit and, on request, ``groups`` and ``labels``.
-    A record reads only its row's entries: ``group_of`` one entry's group,
-    and each subclass's ``labels_of`` the labels of entries and their groups.
+    ``rows`` (one codeword's box keys per row, in broadcast order) and,
+    with ``new_nodes``, the commit. Labels are built from the entries at
+    hand and never kept: ``group_of`` one entry's group, each subclass's
+    ``labels_of`` the labels of entries with their groups, and its
+    ``codeword_of`` the sender and group of a label's codeword.
     """
 
     placement: PlacementMap = field(repr=False)
@@ -142,47 +142,34 @@ class BoxDirectory:
         """Where box ``key`` lies in ``box_bits``."""
         return slice(self.offsets[key], self.offsets[key + 1])
 
-    @cached_property
-    def groups(self) -> tuple[NodeSet, ...]:
-        """Per box key, its codeword's group: the new nodes outside its
-        ``new_set`` other than its ``sender``. Equal groups share one tuple."""
-        nodes, shared, groups = np.array(self.new_nodes), {}, []
-        for part in np.split(self.table, range(CHUNK, len(self.table), CHUNK)):
-            outside = np.ones((len(part), len(nodes)), dtype=bool)
-            used = np.searchsorted(nodes, np.c_[part["sender"], part["new_set"]])
-            outside[np.arange(len(part))[:, None], used] = False
-            rows = np.broadcast_to(nodes, outside.shape)[outside].reshape(len(part), -1)
-            heads = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]  # one tuple per run
-            runs = [shared.setdefault(g, g) for g in map(tuple, rows[heads].tolist())]
-            groups.extend(map(runs.__getitem__, (np.cumsum(heads) - 1).tolist()))
-        return tuple(groups)
-
     def group_of(self, box: np.void) -> NodeSet:
-        """``groups``' entry for one entry of ``table``, from that entry alone:
-        a record's group costs O(K), not a pass over every key."""
+        """The group of one entry of ``table``: the new nodes outside its
+        ``new_set`` other than its ``sender``. O(K), from that entry alone."""
         sender, new_set = int(box["sender"]), box["new_set"].tolist()
         return tuple(n for n in self.new_nodes if n != sender and n not in new_set)
 
-    @cached_property
-    def labels(self) -> tuple:
-        """Every box's label, by key: ``labels_of`` the whole table."""
-        return tuple(self.labels_of(self.table, self.groups))
-
-    @cached_property
-    def _keys_by_label(self) -> dict:
-        return {label: key for key, label in enumerate(self.labels)}
-
-    def key_of(self, label) -> int:
-        """The key of the box ``label`` names; ``InvalidLabel`` if it names none."""
-        try:
-            return self._keys_by_label[label]
-        except KeyError:
-            raise InvalidLabel(f"{label} is not a box of this directory") from None
+    def labels_at(self, keys) -> tuple:
+        """The labels of boxes ``keys`` of one codeword (a row of ``rows``,
+        or one box), from their own entries of ``table``."""
+        boxes = self.table[keys]
+        return tuple(self.labels_of(boxes, [self.group_of(boxes[0])] * len(boxes)))
 
     def packet_bits(self, label) -> np.ndarray:
         """Ascending bit indices of one box (possibly empty); ``InvalidLabel``
-        if the label names no box of this directory."""
-        return self.box_bits[self.span(self.key_of(label))].astype(np.intp)
+        if the label names no box of this directory. The sender and group
+        of the label's ``codeword_of`` select its row with numpy: the
+        sender's entries whose ``new_set`` avoids the group. Its box is the
+        one among them whose label is ``label``."""
+        try:
+            sender, group = self.codeword_of(label)
+        except AttributeError:  # another protocol's label: no entry's sender is None
+            sender, group = None, ()
+        keys = np.flatnonzero(self.table["sender"] == sender)
+        keys = keys[~np.isin(self.table["new_set"][keys], group).any(axis=1)]
+        labels = self.labels_at(keys) if keys.size else ()
+        if label not in labels:
+            raise InvalidLabel(f"{label} is not a box of this directory")
+        return self.box_bits[self.span(keys[labels.index(label)])].astype(np.intp)
 
     def per_bit(self, per_key: np.ndarray):
         """Walk ``box_bits`` in box order, a ``CHUNK`` at a time: yields each
@@ -262,12 +249,11 @@ class BoxDirectory:
         lookup = {s: i for i, s in enumerate(new_support)}
         dtype = index_dtype(unmapped)
         stay_table = np.array([lookup.get(s, unmapped) for s in place.support], dtype=dtype)
-        # Each run of keys with one new set is looked up once.
-        new_sets = self.table["new_set"]
-        starts = np.ones(len(new_sets), dtype=bool)
-        starts[1:] = np.any(new_sets[1:] != new_sets[:-1], axis=1)
-        runs = [lookup.get(s, unmapped) for s in map(tuple, new_sets[starts].tolist())]
-        box_table = np.array(runs, dtype=dtype)[np.cumsum(starts) - 1]
+        # per_bit never reads an empty box's entry, so only boxes with a bit are looked up.
+        filled = np.flatnonzero(self.offsets[1:] != self.offsets[:-1])
+        box_table = np.full(len(self.table), unmapped, dtype=dtype)
+        box_table[filled] = [lookup.get(s, unmapped)
+                             for s in map(tuple, self.table["new_set"][filled].tolist())]
         new_index = gather(stay_table, place.set_index)
         for _, bits, new_sets in self.per_bit(box_table):
             new_index[bits] = new_sets

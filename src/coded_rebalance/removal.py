@@ -109,9 +109,12 @@ class BinDirectoryRemoval(BoxDirectory):
         return out
 
     def labels_of(self, boxes: np.ndarray, groups: list[NodeSet]):
-        """The labels of table entries ``boxes`` with their ``groups`` as
-        remainders; those of one (class, target) share a remainder."""
+        """The labels of table entries ``boxes``, with ``groups`` as remainders."""
         return map(RemovalBoxLabel, boxes["target"].tolist(), groups, boxes["sender"].tolist())
+
+    def codeword_of(self, label: RemovalBoxLabel) -> tuple[int, NodeSet]:
+        """The sender and group of the codeword that carries ``label``."""
+        return label.holder, label.remainder
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -128,7 +131,7 @@ class BinDirectoryRemoval(BoxDirectory):
         at = np.flatnonzero(self.box_bits == bit)
         if not at.size:
             raise KeyError(f"bit {bit} was not stored at node {self.removed_node}")
-        return self.labels[int(np.searchsorted(self.offsets, at[0], side="right")) - 1]
+        return self.labels_at([np.searchsorted(self.offsets, at[0], side="right") - 1])[0]
 
 
 def bin_removal(db: Database, removed_node: int, rng: RngSpec) -> BinDirectoryRemoval:
@@ -222,23 +225,26 @@ def decode_removal(
     """Recover the packet addressed to ``node`` from one codeword.
 
     The node XORs away the constituents it already stores and truncates the
-    result to the demanded packet's true length. Returns the packet's bit
-    indices and recovered values. Raises ``DecodeVerificationError`` if a
-    constituent's stated length is not its box's size or exceeds the
-    payload, or a cancelled box has bits outside its table ``set`` or the
-    node does not store that set: a node cannot use side information it
-    does not hold, and a removal box holds bits of one stored set only.
+    result to the demanded packet's true length, reading only the boxes of
+    the codeword's row. Returns the packet's bit indices and recovered
+    values. Raises ``DecodeVerificationError`` if the labels are not the
+    row's, a stated length is not its box's size or exceeds the payload, or
+    a cancelled box has bits outside its table ``set`` or the node does not
+    store that set: a node cannot use side information it does not hold,
+    and a removal box holds bits of one stored set only.
     """
-    demanded = next((label for label, _ in codeword.constituents if label.target == node), None)
-    if demanded is None:
+    labels = tuple(label for label, _ in codeword.constituents)
+    if not any(label.target == node for label in labels):
         raise NotARecipient(f"node {node} demands no packet of this codeword")
 
     directory.check_placement(db)
+    rows, row = directory.rows, codeword.row
+    if row not in range(len(rows)) or labels != directory.labels_at(rows[row]):
+        raise DecodeVerificationError(f"node {node} cannot decode: its boxes are not row {row}'s")
     held = db.placement.support_membership(node)
     acc = codeword.payload.copy()
     cancelled = []  # the packets to XOR away, read together once all are checked
-    for label, true_len in codeword.constituents:
-        key = directory.key_of(label)
+    for key, (label, true_len) in zip(rows[row].tolist(), codeword.constituents):
         span = directory.span(key)
         size = int(span.stop - span.start)
         if size != true_len or true_len > acc.size:
@@ -247,6 +253,7 @@ def decode_removal(
                 f"stated {true_len}, in a payload of {acc.size}"
             )
         if label.target == node:
+            demanded = span
             continue
         if size and (directory.misplaced[key] or not held[directory.table["set"][key]]):
             raise DecodeVerificationError(
@@ -259,7 +266,7 @@ def decode_removal(
     for packet in cancelled:
         acc[: packet.size] ^= values[read : read + packet.size]
         read += packet.size
-    bits = directory.packet_bits(demanded)  # as long as its constituent states
+    bits = directory.box_bits[demanded].astype(np.intp)  # as long as its constituent states
     return bits, acc[: bits.size]
 
 
@@ -280,9 +287,10 @@ def _check_cancellations(db: Database, directory: BinDirectoryRemoval) -> None:
     bad = np.argwhere(uses & ~stored)
     if bad.size:
         row, i, j = bad[0]
+        label = directory.labels_at([rows[row, j]])[0]
         raise DecodeVerificationError(
             f"node {place.nodes[users[row, i]]} cannot {'send' if i == rows.shape[1] else 'cancel'} "
-            f"box {directory.labels[rows[row, j]]}: bits outside its store or outside the box's set"
+            f"box {label}: bits outside its store or outside the box's set"
         )
 
 

@@ -46,11 +46,18 @@ def addition_boxes(nodes, replication):
 
 def table_boxes(directory):
     """The rows of a directory's ``table`` as dicts of Python values, each
-    with its key's ``group`` from ``directory.groups``."""
+    with its entry's ``group`` from ``directory.group_of``."""
     table = directory.table
     columns = [
         [tuple(v) if isinstance(v, list) else v for v in table[name].tolist()]
         for name in table.dtype.names
     ]
-    return [dict(zip(table.dtype.names, row), group=group)
-            for row, group in zip(zip(*columns), directory.groups)]
+    return [dict(zip(table.dtype.names, row), group=directory.group_of(box))
+            for row, box in zip(zip(*columns), table)]
+
+
+def directory_labels(directory):
+    """Every box's label, by key: ``labels_of`` each table entry with its
+    ``group_of``, built on request as the directory keeps none."""
+    table = directory.table
+    return list(directory.labels_of(table, map(directory.group_of, table)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from coded_rebalance import (
+    AdditionBoxLabel,
     Database,
     DecodeVerificationError,
     DirectoryMismatch,
@@ -35,12 +36,13 @@ from coded_rebalance.codeword import SCATTER_BITS, BoxDirectory
 from coded_rebalance.database import CHUNK, draw_file
 from coded_rebalance.rng import STREAM_PLACEMENT, STREAM_REMOVAL_BINNING
 
-from box_reference import removal_boxes, table_boxes
+from box_reference import directory_labels, removal_boxes, table_boxes
 
 
 def class_labels(directory, cls):
     """The labels of one class's boxes, in key order."""
-    return [lab for lab in directory.labels if tuple(sorted((lab.target, *lab.remainder))) == cls]
+    return [lab for lab in directory_labels(directory)
+            if tuple(sorted((lab.target, *lab.remainder))) == cls]
 
 
 def test_box_set_for_one_class():
@@ -72,25 +74,19 @@ def test_box_table_equals_a_straight_line_enumeration(K):
             directory = bin_removal(db, k, RngSpec(K))
             boxes = removal_boxes(db.nodes, k, r)
             assert table_boxes(directory) == boxes, (r, k)
-            assert directory.labels == tuple(
+            assert directory_labels(directory) == [
                 RemovalBoxLabel(b["target"], b["group"], b["sender"]) for b in boxes
-            )
+            ]
             assert directory.box_targets.tolist() == [b["target"] for b in boxes]
             assert directory.box_targets.dtype == np.intp
             assert len(boxes) == directory.offsets.size - 1
 
 
-def test_labels_of_one_class_and_target_share_one_remainder():
-    directory = bin_removal(build_database(6, 4, 200, RngSpec(3)), 6, RngSpec(3))
-    labels = directory.labels
-    for first in range(0, len(labels), 3):
-        assert len({id(lab.remainder) for lab in labels[first : first + 3]}) == 1
-
-
 def test_rows_equal_the_context_sort_at_k12():
     # contexts (the groups) lexicographically, then senders, then targets
     directory = bin_removal(build_database(12, 4, 100, RngSpec(5)), 5, RngSpec(5))
-    table, contexts = directory.table, np.array(directory.groups)
+    table = directory.table
+    contexts = np.array([directory.group_of(box) for box in table])
     by_context = np.lexsort((table["target"], table["sender"], *contexts.T[::-1]))
     assert np.array_equal(directory.rows, by_context.reshape(-1, 3))
 
@@ -115,7 +111,7 @@ def test_expected_packet_size_matches_law():
     K, r, F = 6, 3, 120000
     db = build_database(K, r, F, RngSpec(8))
     directory = bin_removal(db, 6, RngSpec(8))
-    sizes = [directory.packet_bits(lab).size for lab in directory.labels]
+    sizes = [directory.packet_bits(lab).size for lab in directory_labels(directory)]
     assert len(sizes) == 60
     sigma_dk = math.sqrt(F * 0.25)
     assert abs(np.mean(sizes) - 1000) <= 3 * sigma_dk / 60
@@ -124,7 +120,7 @@ def test_expected_packet_size_matches_law():
 def test_packet_contents_deterministic_and_ordered():
     db = build_database(6, 3, 3000, RngSpec(19))
     directory = bin_removal(db, 6, RngSpec(19))
-    label = next(lab for lab in directory.labels if directory.packet_bits(lab).size > 1)
+    label = next(lab for lab in directory_labels(directory) if directory.packet_bits(lab).size > 1)
     bits1 = directory.packet_bits(label)
     vals1 = db.file.values[bits1]
     bits2 = directory.packet_bits(label)
@@ -137,7 +133,7 @@ def test_label_of_round_trips_through_groups():
     db = build_database(5, 3, 400, RngSpec(2))
     directory = bin_removal(db, 2, RngSpec(2))
     seen = []
-    for label in directory.labels:
+    for label in directory_labels(directory):
         bits = directory.packet_bits(label)
         assert all(directory.label_of(int(bit)) == label for bit in bits)
         seen.extend(bits.tolist())
@@ -369,7 +365,7 @@ def test_decode_rejects_a_cancelled_box_longer_than_the_payload():
     directory = bin_removal(db, 6, RngSpec(14))
     cw = next(c for c in encode_removal(db, directory) if c.sender == 5 and c.group == (2, 3))
     # lengthen the packet node 1 cancels with bits node 1 does store
-    key = directory.key_of(RemovalBoxLabel(4, (2, 3), 5))
+    key = directory_labels(directory).index(RemovalBoxLabel(4, (2, 3), 5))
     extra = np.setdiff1d(node_contents(db, 1), directory.box_bits)[: cw.payload_bits + 5]
     offsets = directory.offsets.copy()
     offsets[key + 1 :] += extra.size
@@ -403,6 +399,38 @@ def test_decode_rejects_a_stated_length_unlike_the_box(demanded):
     decode_removal(node, cw, db, directory)
     with pytest.raises(DecodeVerificationError, match=f"node {node} .*box"):
         decode_removal(node, misstated, db, directory)
+
+
+def test_decode_rejects_a_codeword_of_another_removal():
+    # one database, two removals: each codeword of one schedule names a row
+    # of the other's directory too, but not that row's boxes
+    db = build_database(6, 3, 9000, RngSpec(14))
+    five, six = (bin_removal(db, k, RngSpec(14)) for k in (5, 6))
+    for cw in encode_removal(db, five):
+        for label, _ in cw.constituents:
+            decode_removal(label.target, cw, db, five)
+            with pytest.raises(DecodeVerificationError, match=f"node {label.target} .*row"):
+                decode_removal(label.target, cw, db, six)
+
+
+def test_decode_rejects_swapped_labels_or_another_row():
+    db = build_database(6, 3, 9000, RngSpec(14))
+    directory = bin_removal(db, 6, RngSpec(14))
+    schedule = encode_removal(db, directory)
+    cw = schedule[0]
+    (first, m), (second, n) = cw.constituents
+    node = first.target
+    decode_removal(node, cw, db, directory)
+    tampered = [
+        replace(cw, constituents=((second, m), (first, n))),  # labels swapped, lengths kept
+        replace(cw, constituents=((second, n), (first, m))),  # whole constituents swapped
+        replace(cw, row=1),
+        replace(cw, row=-len(schedule)),  # numpy would read row 0
+        replace(cw, row=len(schedule)),
+    ]
+    for codeword in tampered:
+        with pytest.raises(DecodeVerificationError, match=f"node {node} .*row"):
+            decode_removal(node, codeword, db, directory)
 
 
 def flip_a_payload_bit(schedule):
@@ -599,7 +627,7 @@ def test_each_box_in_exactly_one_codeword():
     codewords = encode_removal(db, directory)
     seen = [label for cw in codewords for label, _ in cw.constituents]
     assert len(seen) == len(set(seen))
-    assert set(seen) == set(directory.labels)
+    assert set(seen) == set(directory_labels(directory))
 
 
 def test_packet_bits_rejects_malformed_labels():
@@ -611,6 +639,7 @@ def test_packet_bits_rejects_malformed_labels():
         RemovalBoxLabel(1, (2, 3), 6),   # holder is the removed node
         RemovalBoxLabel(1, (2,), 5),     # remainder too small
         RemovalBoxLabel(9, (2, 3), 5),   # unknown target
+        AdditionBoxLabel((2, 3), 5),     # another protocol's label
     ]
     for label in bad:
         with pytest.raises(InvalidLabel):
@@ -837,7 +866,7 @@ def test_apply_equals_serial_bin_encode_and_commit(monkeypatch):
     serial = encode_removal(db, directory)
     # a box's bits keep the survivors outside its remainder
     box_sets = [tuple(n for n in directory.survivors if n not in label.remainder)
-                for label in directory.labels]
+                for label in directory_labels(directory)]
     assert list(map(tuple, directory.table["new_set"].tolist())) == box_sets
     placement = directory.commit()
     assert new_db.file is db.file

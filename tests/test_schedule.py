@@ -155,18 +155,44 @@ def addition_schedule():
     return encode_addition(db, bin_addition(db, RngSpec(3)))
 
 
-@pytest.mark.parametrize("make", [removal_schedule, addition_schedule])
-def test_a_record_derives_only_its_own_row_s_groups_and_labels(make):
-    # a record costs O(r): at K=30, r=5 every key's labels took seconds
-    schedule = make()
+def k20_removal():
+    # K=20, r=5: 232 560 box keys in 58 140 rows
+    db = build_database(20, 5, 3000, RngSpec(4))
+    return db, encode_removal(db, bin_removal(db, 20, RngSpec(4)))
+
+
+def k20_addition():
+    # 77 520 box keys, one per row
+    db = build_database(20, 5, 3000, RngSpec(4))
+    return db, encode_addition(db, bin_addition(db, RngSpec(4)))
+
+
+@pytest.mark.parametrize("make", [k20_removal, k20_addition])
+def test_records_and_decodes_read_only_their_own_rows(monkeypatch, make):
+    # a record, a decode, packet_bits and label_of each label at most one
+    # row's boxes, and the directory keeps no label, group or dict per key:
+    # at K=30, r=5 those took seconds on a first decode
+    db, schedule = make()
     directory = schedule.directory
-    records = [schedule[0], schedule[len(schedule) - 1]]
-    assert "groups" not in vars(directory) and "labels" not in vars(directory)
-    for i, cw in zip((0, len(schedule) - 1), records):
-        keys = directory.rows[i].tolist()
-        assert cw.group == directory.groups[keys[0]]
-        assert [label for label, _ in cw.constituents] == [directory.labels[k] for k in keys]
-    assert [directory.group_of(box) for box in directory.table] == list(directory.groups)
+    labelled = []  # how many table entries each labels_of call is given
+    labels_of = type(directory).labels_of
+    monkeypatch.setattr(type(directory), "labels_of", lambda self, boxes, groups: (
+        labelled.append(len(boxes)) or labels_of(self, boxes, groups)))
+    for i in np.flatnonzero(np.diff(schedule.starts))[:4].tolist():
+        cw = schedule[i]
+        assert cw.row == i
+        for label, length in cw.constituents:
+            bits = directory.packet_bits(label)
+            assert bits.size == length
+            if length:
+                assert directory.label_of(int(bits[0])) == label
+            if isinstance(label, RemovalBoxLabel):
+                decoded, values = decode_removal(label.target, cw, db, directory)
+                assert np.array_equal(decoded, bits)
+                assert np.array_equal(values, db.file.values[bits])
+    assert labelled and max(labelled) <= db.placement.replication - 1
+    cached = vars(directory).keys() - directory.__dataclass_fields__.keys()
+    assert cached <= {"table", "rows", "misplaced"}
 
 
 def test_records_compare_by_value():
